@@ -11,9 +11,10 @@
 //                sharded run are bit-identical to the single-process
 //                EpochServer — for 1, 2 and 4 workers (the partition
 //                only decides who serves, never what is served).
-//   transports   the socket transport (fork()ed worker processes over
-//                Unix sockets) produces the same bits as in-process
-//                loopback.
+//   transports   the socket transport (exec'd worker processes over
+//                Unix sockets, the launcher hbn_serve ships) produces
+//                the same bits as in-process loopback. The host
+//                binary's main must call shard::maybeRunWorkerMain.
 //   scaling      on a skewed stream with the adaptive policy, the
 //                critical-path throughput (Σ over epochs of the
 //                slowest shard's CPU time — what N truly parallel
@@ -165,11 +166,8 @@ class ShardedServingExperiment final : public engine::Experiment {
           options.serve.threads = 1;
           options.serve.policy = policy;
           options.partitionSeed = seed;
-          // fork (not exec): process isolation without depending on the
-          // host binary's path, so the experiment runs identically from
-          // hbn_bench and hbn_place --bench.
           std::unique_ptr<shard::ShardCluster> cluster =
-              socket ? shard::makeForkCluster(workers)
+              socket ? shard::makeExecCluster(workers)
                      : shard::makeLoopbackCluster(workers);
           shard::ShardCoordinator coordinator(
               tree, objects, options, cluster->links(),
@@ -244,7 +242,7 @@ class ShardedServingExperiment final : public engine::Experiment {
       reporter.addTiming(timer.millis());
     }
     const bool socketHeld = socketDigest == loopbackDigest;
-    ctx.os() << "\nsocket transport (2 fork()ed worker processes): "
+    ctx.os() << "\nsocket transport (2 exec'd worker processes): "
              << (socketHeld ? "bit-identical to loopback" : "DIVERGED")
              << "\n";
 

@@ -18,6 +18,9 @@
 //     enough for the biggest sweeps).
 #pragma once
 
+#include <cstddef>
+#include <span>
+
 #include "hbn/core/load.h"
 #include "hbn/net/rooted.h"
 #include "hbn/workload/workload.h"
@@ -85,6 +88,16 @@ class IncrementalLowerBound {
   /// Adds object x's contribution from its current row — call after
   /// mutating it.
   void add(workload::ObjectId x, const workload::Workload& load);
+  /// Folds one served epoch into `load` and refreshes the bound for
+  /// exactly the touched objects: remove() against the old rows,
+  /// aggregate `events` in arrival order, add() against the new rows.
+  /// `offsets` are the epoch's per-object bucket bounds (numObjects + 1
+  /// entries; x is touched iff offsets[x] != offsets[x + 1]). The
+  /// serving engines call this AFTER serving the epoch — the ordering
+  /// the HandoffPass row-stability contract depends on.
+  void absorbEpoch(std::span<const workload::RequestEvent> events,
+                   std::span<const std::size_t> offsets,
+                   workload::Workload& load);
 
   /// The congestion lower bound of the tracked workload.
   [[nodiscard]] double congestion() const;

@@ -67,6 +67,28 @@ void IncrementalLowerBound::add(workload::ObjectId x,
   apply(x, load, 1);
 }
 
+void IncrementalLowerBound::absorbEpoch(
+    std::span<const workload::RequestEvent> events,
+    std::span<const std::size_t> offsets, workload::Workload& load) {
+  const auto touched = [&](workload::ObjectId x) {
+    return offsets[static_cast<std::size_t>(x)] !=
+           offsets[static_cast<std::size_t>(x) + 1];
+  };
+  for (workload::ObjectId x = 0; x < load.numObjects(); ++x) {
+    if (touched(x)) remove(x, load);
+  }
+  for (const workload::RequestEvent& ev : events) {
+    if (ev.isWrite) {
+      load.addWrites(ev.object, ev.origin, 1);
+    } else {
+      load.addReads(ev.object, ev.origin, 1);
+    }
+  }
+  for (workload::ObjectId x = 0; x < load.numObjects(); ++x) {
+    if (touched(x)) add(x, load);
+  }
+}
+
 double IncrementalLowerBound::congestion() const {
   return minima_.congestion(rooted_->tree());
 }

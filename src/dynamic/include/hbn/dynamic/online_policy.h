@@ -57,11 +57,10 @@ namespace hbn::dynamic {
 /// epoch (the barrier-mode stop-the-world lump), the server keeps the
 /// pass pending and asks for `target(x)` when object x is next touched.
 /// Contract:
-///   - target(x, w) is deterministic in x, independent of worker count
-///     and call order, and bit-identical to row x of
-///     OnlinePolicy::handoffPlacement on the same snapshot — that
-///     equivalence is what keeps lazy and barrier application
-///     bit-identical in aggregate.
+///   - target(x, w) is deterministic in x and independent of worker
+///     count and call order — that is what keeps lazy (per-touch) and
+///     barrier (drain-at-trigger) application bit-identical in
+///     aggregate.
 ///   - Calls for distinct objects are safe concurrently; `worker`
 ///     selects the caller's scratch slot and must be < the `workers`
 ///     passed to beginHandoff.
@@ -127,7 +126,7 @@ class OnlinePolicy {
 
   /// Whether the §4 dynamic-to-static handoff applies: policies that
   /// own a movable copy configuration return true and must implement
-  /// handoffPlacement/resetCopySet; fixed-configuration policies
+  /// beginHandoff/resetCopySet; fixed-configuration policies
   /// (full-replication, owner-only) return false and the epoch server
   /// skips its drift pass entirely.
   [[nodiscard]] virtual bool migratable() const noexcept { return true; }
@@ -141,24 +140,14 @@ class OnlinePolicy {
   /// migratable(); the default never asks.
   [[nodiscard]] virtual bool wantsHandoff() const { return false; }
 
-  /// The placement this policy wants to migrate to, computed from the
-  /// aggregated request frequencies (the §4 handoff target). Only
-  /// called when migratable(). `threads` is the worker budget; the
-  /// result must be thread-count independent.
-  [[nodiscard]] virtual core::Placement handoffPlacement(
-      const workload::Workload& aggregated, int threads) = 0;
-
   /// Starts a §4 handoff against `aggregated` — the caller's matrix as
   /// of the trigger, shared without a copy. The caller guarantees only
   /// the per-row stability documented on HandoffPass: rows the pass
   /// will be asked about are unchanged at target() time. Passes that
   /// need more (whole-matrix reads after the trigger) copy their own
   /// snapshot here. `workers` bounds the scratch slots target() may be
-  /// called with. Only called when migratable(). The default wraps
-  /// handoffPlacement eagerly (reading the matrix now, which is always
-  /// safe); policies with a cheap per-object placement (tree-counters'
-  /// nibble) override it with a lazy pass so the pipelined server never
-  /// pays a whole-placement lump.
+  /// called with. Only called when migratable(): every migratable
+  /// policy overrides it, and the base throws std::logic_error.
   [[nodiscard]] virtual std::unique_ptr<HandoffPass> beginHandoff(
       std::shared_ptr<const workload::Workload> aggregated, int workers);
 

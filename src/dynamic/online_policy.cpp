@@ -150,28 +150,13 @@ void expectStateHeader(std::istream& in, std::string_view name) {
 // Handoff passes — the per-object views of a §4 re-placement.
 // ---------------------------------------------------------------------------
 
-/// Default pass: the whole handoff placement materialised up front.
-/// target() is then a lookup, so application order cannot matter.
-class EagerHandoffPass final : public HandoffPass {
- public:
-  explicit EagerHandoffPass(core::Placement placement)
-      : placement_(std::move(placement)) {}
-
-  [[nodiscard]] std::vector<net::NodeId> target(ObjectId x,
-                                                int /*worker*/) override {
-    checkObjectId(x, placement_.objects.size(), "HandoffPass::target");
-    return placement_.objects[static_cast<std::size_t>(x)].locations();
-  }
-
- private:
-  core::Placement placement_;
-};
-
 /// tree-counters pass: one O(|V|) nibbleObjectInto per queried object —
 /// exactly the per-object kernel the registered "nibble" strategy runs
 /// under its parallel executor, so lazy targets are bit-identical to
-/// the monolithic handoffPlacement row for the same snapshot, at
-/// per-touch (not per-handoff) cost.
+/// that strategy's placement row for the same snapshot, at per-touch
+/// (not per-handoff) cost. The nibble placement is the counter scheme's
+/// §4 target: its copy sets are connected (Theorem 3.1), so the counter
+/// machinery resumes seamlessly.
 class NibbleHandoffPass final : public HandoffPass {
  public:
   NibbleHandoffPass(const net::Tree& tree,
@@ -238,8 +223,7 @@ class TreeCountersPolicy final : public OnlinePolicy {
                      net::NodeId initialLocation,
                      const OnlineOptions& options)
       : strategy_(rooted, numObjects, initialLocation, options),
-        options_(options),
-        nibble_(engine::StrategyRegistry::global().create("nibble")) {}
+        options_(options) {}
 
   [[nodiscard]] std::string_view name() const override {
     return "tree-counters";
@@ -281,18 +265,6 @@ class TreeCountersPolicy final : public OnlinePolicy {
     return strategy_.flatView();
   }
 
-  [[nodiscard]] core::Placement handoffPlacement(
-      const workload::Workload& aggregated, int threads) override {
-    // The §4 handoff target of the counter scheme is the nibble
-    // placement of the aggregated frequencies (connected copy sets by
-    // Theorem 3.1, so the counter machinery resumes seamlessly).
-    engine::Context ctx;
-    ctx.threads = threads;
-    ++handoffs_;
-    return nibble_->place(strategy_.flatView().rooted().tree(), aggregated,
-                          ctx);
-  }
-
   [[nodiscard]] std::unique_ptr<HandoffPass> beginHandoff(
       std::shared_ptr<const workload::Workload> aggregated,
       int workers) override {
@@ -330,7 +302,6 @@ class TreeCountersPolicy final : public OnlinePolicy {
  private:
   OnlineTreeStrategy strategy_;
   OnlineOptions options_;
-  std::unique_ptr<engine::PlacementStrategy> nibble_;
   std::uint64_t handoffs_ = 0;
 };
 
@@ -386,14 +357,6 @@ class StaticPolicy final : public OnlinePolicy {
 
   [[nodiscard]] const core::FlatTreeView& flatView() const noexcept override {
     return flat_;
-  }
-
-  [[nodiscard]] core::Placement handoffPlacement(
-      const workload::Workload& aggregated, int threads) override {
-    engine::Context ctx;
-    ctx.threads = threads;
-    ++handoffs_;
-    return placement_->place(rooted_->tree(), aggregated, ctx);
   }
 
   [[nodiscard]] std::unique_ptr<HandoffPass> beginHandoff(
@@ -531,11 +494,6 @@ class FixedConfigPolicy : public OnlinePolicy {
 
   [[nodiscard]] bool migratable() const noexcept override { return false; }
 
-  [[nodiscard]] core::Placement handoffPlacement(const workload::Workload&,
-                                                 int) override {
-    throw std::logic_error(std::string(name()) + " does not migrate");
-  }
-
   void resetCopySet(ObjectId, std::span<const net::NodeId>) override {
     throw std::logic_error(std::string(name()) + " does not migrate");
   }
@@ -626,9 +584,8 @@ std::unique_ptr<OnlinePolicyFactory> makeFactory(LambdaPolicyFactory::Fn fn) {
 }  // namespace
 
 std::unique_ptr<HandoffPass> OnlinePolicy::beginHandoff(
-    std::shared_ptr<const workload::Workload> aggregated, int workers) {
-  return std::make_unique<EagerHandoffPass>(
-      handoffPlacement(*aggregated, workers));
+    std::shared_ptr<const workload::Workload>, int) {
+  throw std::logic_error(std::string(name()) + " does not migrate");
 }
 
 void applyHandoffTarget(OnlinePolicy& policy, ObjectId x,

@@ -37,7 +37,6 @@ EpochServer::EpochServer(const net::RootedTree& rooted, int numObjects,
       lowerBound_(rooted),
       loads_(rooted.tree().edgeCount()),
       serveLoads_(rooted.tree().edgeCount()),
-      schedule_(std::make_unique<MigrationSchedule>()),
       appliedVersion_(static_cast<std::size_t>(numObjects), 0),
       latency_(options.latencySample) {
   drift_.replaceDrift = options.replaceDrift;
@@ -117,14 +116,15 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     // per worker, per-worker loads/stats/scratch, no shared mutable
     // state. A worker first applies any handoff passes its object has
     // not migrated through yet (stage 3's lazy application; exclusive
-    // by striping, RCU-guarded against schedule republication), then
-    // serves the shard against the up-to-date copy configuration — so
-    // per-object state trajectories match barrier mode exactly.
+    // by striping), then serves the shard against the up-to-date copy
+    // configuration — so per-object state trajectories match barrier
+    // mode exactly.
     for (int w = 0; w < workers; ++w) {
       workerLoads[static_cast<std::size_t>(w)].clear();
       workerMigration[static_cast<std::size_t>(w)].clear();
       workerStats[static_cast<std::size_t>(w)] = {};
     }
+    const std::uint64_t retired = passesBegun_ - pendingPasses_.size();
     const std::uint64_t targetVersion = passesBegun_;
     core::parallelForObjects(
         numObjects_, options_.threads, [&](ObjectId x, int worker) {
@@ -149,7 +149,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
           if (begin == end) return;
           const auto w = static_cast<std::size_t>(worker);
           if (appliedVersion_[static_cast<std::size_t>(x)] < targetVersion) {
-            applyPendingMigrations(x, worker, targetVersion,
+            applyPendingMigrations(x, worker, retired, targetVersion,
                                    workerMigration[w], workerAcc[w]);
           }
           const dynamic::ShardStats stats = policy_->serveShard(
@@ -187,29 +187,9 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     // time (before this epoch's aggregation) the row is bit-equal to
     // its trigger-time value. The lower bound after epoch k still sees
     // the traffic of epochs <= k, exactly as the barrier engine did.
-    // Around the aggregation, refresh the incremental lower bound for
-    // exactly the touched objects (remove against the old row, add
-    // against the new one).
-    for (ObjectId x = 0; x < numObjects_; ++x) {
-      if (batch->offsets[static_cast<std::size_t>(x)] !=
-          batch->offsets[static_cast<std::size_t>(x) + 1]) {
-        lowerBound_.remove(x, aggregated_);
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const RequestEvent& ev = batch->raw[i];
-      if (ev.isWrite) {
-        aggregated_.addWrites(ev.object, ev.origin, 1);
-      } else {
-        aggregated_.addReads(ev.object, ev.origin, 1);
-      }
-    }
-    for (ObjectId x = 0; x < numObjects_; ++x) {
-      if (batch->offsets[static_cast<std::size_t>(x)] !=
-          batch->offsets[static_cast<std::size_t>(x) + 1]) {
-        lowerBound_.add(x, aggregated_);
-      }
-    }
+    lowerBound_.absorbEpoch(
+        std::span<const RequestEvent>(batch->raw.data(), n), batch->offsets,
+        aggregated_);
 
     servedTotal_ += n;
     retireAppliedPasses();
@@ -381,12 +361,12 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
       }
     }
   }
-  pass->version = ++passesBegun_;
+  ++passesBegun_;
   pendingPasses_.push_back(std::move(pass));
-  publishSchedule();
 }
 
 void EpochServer::applyPendingMigrations(ObjectId x, int worker,
+                                         std::uint64_t retired,
                                          std::uint64_t targetVersion,
                                          core::LoadMap& migration,
                                          core::FlatLoadAccumulator& acc) {
@@ -394,15 +374,10 @@ void EpochServer::applyPendingMigrations(ObjectId x, int worker,
   // object has not migrated through yet, in creation order — charging
   // Steiner(current ∪ target) and resetting the copy set per pass, the
   // exact per-object work barrier mode performs inside drift epochs.
-  // The RCU guard pins the schedule (and through it every pass the
-  // applied counters say we may still need) against republication.
-  const auto guard = schedule_.read();
-  const MigrationSchedule& schedule = *guard;
   std::uint64_t& applied = appliedVersion_[static_cast<std::size_t>(x)];
   while (applied < targetVersion) {
-    const auto index = static_cast<std::size_t>(applied -
-                                                schedule.baseVersion);
-    PassState& pass = *schedule.passes[index];
+    PassState& pass =
+        *pendingPasses_[static_cast<std::size_t>(applied - retired)];
     const std::vector<net::NodeId> target = pass.pass->target(x, worker);
     // The shared per-object migration step (compare / charge Steiner /
     // resetCopySet) — also what the shard worker's barrier application
@@ -422,6 +397,7 @@ void EpochServer::drainAllPasses(
   for (int w = 0; w < workers; ++w) {
     workerMigration[static_cast<std::size_t>(w)].clear();
   }
+  const std::uint64_t retired = passesBegun_ - pendingPasses_.size();
   const std::uint64_t targetVersion = passesBegun_;
   core::parallelForObjects(
       numObjects_, options_.threads, [&](ObjectId x, int worker) {
@@ -429,8 +405,8 @@ void EpochServer::drainAllPasses(
           return;
         }
         const auto w = static_cast<std::size_t>(worker);
-        applyPendingMigrations(x, worker, targetVersion, workerMigration[w],
-                               workerAcc[w]);
+        applyPendingMigrations(x, worker, retired, targetVersion,
+                               workerMigration[w], workerAcc[w]);
       });
   for (int w = 0; w < workers; ++w) {
     const auto& partial = workerMigration[static_cast<std::size_t>(w)];
@@ -442,22 +418,13 @@ void EpochServer::drainAllPasses(
 }
 
 void EpochServer::retireAppliedPasses() {
-  // Serve thread, between epochs (workers joined): pop every fully
-  // applied pass, republish the shorter schedule and wait out the grace
-  // period before destroying anything a straggling guard could still
-  // reach. synchronize() also reclaims the superseded schedule objects
-  // themselves.
-  std::vector<std::unique_ptr<PassState>> retiring;
+  // Serve thread, between epochs: parallelForObjects has joined every
+  // worker, so no worker can still be reading a pass popped here.
   while (!pendingPasses_.empty() &&
          pendingPasses_.front()->applied.load(std::memory_order_relaxed) ==
              numObjects_) {
-    retiring.push_back(std::move(pendingPasses_.front()));
     pendingPasses_.pop_front();
   }
-  if (retiring.empty()) return;
-  publishSchedule();
-  schedule_.synchronize();
-  retiring.clear();
 }
 
 CheckpointData EpochServer::snapshotStateAt(std::uint64_t epochs) const {
@@ -543,18 +510,6 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
   checkpointsWritten_ = data.checkpointsWritten;
   drift_.serveCongestionMark = data.serveCongestionMark;
   drift_.lowerBoundMark = data.lowerBoundMark;
-  // The snapshot was quiescent, so the schedule restarts empty with its
-  // base at the restored pass count.
-  publishSchedule();
-}
-
-void EpochServer::publishSchedule() {
-  auto next = std::make_unique<MigrationSchedule>();
-  next->baseVersion =
-      passesBegun_ - static_cast<std::uint64_t>(pendingPasses_.size());
-  next->passes.reserve(pendingPasses_.size());
-  for (const auto& pass : pendingPasses_) next->passes.push_back(pass.get());
-  schedule_.publish(std::move(next));
 }
 
 }  // namespace hbn::serve

@@ -20,9 +20,9 @@
 //            aggregated frequencies (zero-copy: epochs aggregate after
 //            they serve, so an object's row is still bit-equal to its
 //            trigger-time value when its lazy target is queried — see
-//            the HandoffPass contract), and the pass is published to
-//            the workers RCU-style (util::RcuCell: atomic schedule swap
-//            + epoch-grace reclamation). Each object migrates lazily —
+//            the HandoffPass contract), and the pass joins the pending
+//            queue the workers read (the serve thread mutates it only
+//            between worker regions). Each object migrates lazily —
 //            on its next touch, or in the end-of-stream drain — with
 //            its Steiner migration traffic charged exactly once, so the
 //            final ServeReport counters are bit-identical to barrier
@@ -63,7 +63,6 @@
 #include "hbn/serve/pipeline.h"
 #include "hbn/serve/request_stream.h"
 #include "hbn/util/fault.h"
-#include "hbn/util/rcu.h"
 #include "hbn/util/stats.h"
 #include "hbn/workload/workload.h"
 
@@ -93,7 +92,7 @@ struct ServeOptions {
   /// (e.g. slow adaptation under a high replication threshold).
   double replaceDrift = 3.0;
   /// Pipelined serving (default): threaded double-buffered ingest plus
-  /// lazy RCU-published handoff application. false = barrier mode
+  /// lazy per-object handoff application. false = barrier mode
   /// (inline ingest, stop-the-world handoffs) — same results, spikier
   /// tails.
   bool pipeline = true;
@@ -263,35 +262,26 @@ class EpochServer {
 
  private:
   /// One pending §4 handoff: the policy's pass plus retirement
-  /// bookkeeping. `applied` counts objects migrated through it; the
-  /// pass retires (and its snapshot frees) once every object has
-  /// applied it and a schedule without it has been published and its
-  /// RCU grace period has elapsed.
+  /// bookkeeping. `applied` counts objects migrated through it (workers
+  /// bump it concurrently); the pass retires once every object has
+  /// applied it.
   struct PassState {
     std::unique_ptr<dynamic::HandoffPass> pass;
-    std::uint64_t version = 0;  ///< 1-based pass sequence number
     std::atomic<std::int64_t> applied{0};
   };
 
-  /// The immutable pass list workers read through the RCU cell.
-  /// Object x has passes pending iff appliedVersion_[x] <
-  /// baseVersion + passes.size(); entry i applies pass version
-  /// baseVersion + i + 1.
-  struct MigrationSchedule {
-    std::uint64_t baseVersion = 0;  ///< fully retired passes
-    std::vector<PassState*> passes;
-  };
-
   /// Opens a HandoffPass over aggregated_ (zero-copy; see the
-  /// HandoffPass row-stability contract) and publishes the extended
-  /// schedule. Publication failures (injected or real) are retried up
-  /// to ServeOptions.handoffRetries times with escalating backoff;
-  /// exhaustion throws serve::Error{Handoff, epoch}.
+  /// HandoffPass row-stability contract) and queues it. Failures
+  /// (injected or real) are retried up to ServeOptions.handoffRetries
+  /// times with escalating backoff; exhaustion throws
+  /// serve::Error{Handoff, epoch}.
   void beginPass(int workers, std::uint64_t epoch);
-  /// Applies every pass still pending for `x`, charging migration
-  /// traffic into `migration` via `acc`. Called from workers (object
-  /// striping makes x exclusive) under an RCU read guard.
-  void applyPendingMigrations(ObjectId x, int worker,
+  /// Applies every pass still pending for `x` up to `targetVersion`,
+  /// charging migration traffic into `migration` via `acc`. Called from
+  /// workers (object striping makes x exclusive). `retired` counts the
+  /// passes already popped, read on the serve thread before the region:
+  /// pendingPasses_[i] is pass version retired + i + 1.
+  void applyPendingMigrations(ObjectId x, int worker, std::uint64_t retired,
                               std::uint64_t targetVersion,
                               core::LoadMap& migration,
                               core::FlatLoadAccumulator& acc);
@@ -301,10 +291,9 @@ class EpochServer {
   void drainAllPasses(std::vector<core::LoadMap>& workerMigration,
                       std::vector<core::FlatLoadAccumulator>& workerAcc,
                       int workers);
-  /// Pops fully applied passes off the front of the pending queue,
-  /// republishes the schedule and reclaims through the grace period.
+  /// Pops and frees fully applied passes off the front of the pending
+  /// queue. Serve thread, between worker regions.
   void retireAppliedPasses();
-  void publishSchedule();
   /// snapshotState with an explicit completed-epoch count (the serve
   /// loop checkpoints before pushing the epoch's record).
   [[nodiscard]] CheckpointData snapshotStateAt(std::uint64_t epochs) const;
@@ -337,10 +326,11 @@ class EpochServer {
   /// shared comparison — see hbn/serve/drift.h; the shard coordinator
   /// drives the identical struct).
   DriftTrigger drift_;
-  /// Lazy handoff machinery: pending passes in creation order, the
-  /// RCU-published schedule, and per-object applied-pass counts.
+  /// Lazy handoff machinery: pending passes in creation order and
+  /// per-object applied-pass counts. Workers read pendingPasses_; only
+  /// the serve thread mutates it, between parallelForObjects regions
+  /// (whose join orders every read before the next mutation).
   std::deque<std::unique_ptr<PassState>> pendingPasses_;
-  util::RcuCell<MigrationSchedule> schedule_;
   std::vector<std::uint64_t> appliedVersion_;
   std::uint64_t passesBegun_ = 0;
   /// Robustness counters (see ServeReport).

@@ -50,13 +50,6 @@ class LoopbackCluster final : public ShardCluster {
     }
   }
 
-  std::vector<FramedTransport*> links() override {
-    std::vector<FramedTransport*> out;
-    out.reserve(links_.size());
-    for (const auto& link : links_) out.push_back(link.get());
-    return out;
-  }
-
   void join() override {
     for (std::thread& t : threads_) {
       if (t.joinable()) t.join();
@@ -70,21 +63,46 @@ class LoopbackCluster final : public ShardCluster {
   }
 
  private:
-  std::vector<std::unique_ptr<FramedTransport>> links_;
   std::vector<std::thread> threads_;
 };
 
-/// Shared child-process bookkeeping for the fork and exec clusters.
-class ProcessCluster : public ShardCluster {
+/// N fork()+exec()ed children of this binary, each running the worker
+/// protocol over its end of a socketpair.
+class ExecCluster final : public ShardCluster {
  public:
-  ~ProcessCluster() override { ProcessCluster::kill(); }
-
-  std::vector<FramedTransport*> links() override {
-    std::vector<FramedTransport*> out;
-    out.reserve(links_.size());
-    for (const auto& link : links_) out.push_back(link.get());
-    return out;
+  explicit ExecCluster(int workers) {
+    const std::string exe = currentExecutablePath();
+    if (exe.empty()) {
+      throw std::runtime_error(
+          "shard: cannot resolve /proc/self/exe for worker spawn");
+    }
+    for (int w = 0; w < workers; ++w) {
+      auto [parentFd, childFd] = makeSocketPair();
+      // The child fd must survive exec; the parent end must not leak
+      // into siblings.
+      ::fcntl(parentFd, F_SETFD, FD_CLOEXEC);
+      const pid_t pid = ::fork();
+      if (pid < 0) {
+        ::close(parentFd);
+        ::close(childFd);
+        throw std::runtime_error(std::string("fork: ") +
+                                 std::strerror(errno));
+      }
+      if (pid == 0) {
+        const std::string flag = kWorkerFlag + std::to_string(childFd);
+        char* const args[] = {const_cast<char*>(exe.c_str()),
+                              const_cast<char*>(flag.c_str()), nullptr};
+        ::execv(exe.c_str(), args);
+        ::_exit(127);  // exec failed
+      }
+      ::close(childFd);
+      links_.push_back(std::make_unique<FramedTransport>(
+          makeSocketChannel(parentFd)));
+      pids_.push_back(pid);
+    }
   }
+
+  ~ExecCluster() override { kill(); }
 
   void join() override {
     for (std::size_t i = 0; i < pids_.size(); ++i) {
@@ -119,80 +137,21 @@ class ProcessCluster : public ShardCluster {
     for (const auto& link : links_) link->close();
   }
 
- protected:
-  std::vector<std::unique_ptr<FramedTransport>> links_;
+ private:
   std::vector<pid_t> pids_;
-};
-
-class ForkCluster final : public ProcessCluster {
- public:
-  explicit ForkCluster(int workers) {
-    for (int w = 0; w < workers; ++w) {
-      auto [parentFd, childFd] = makeSocketPair();
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        ::close(parentFd);
-        ::close(childFd);
-        throw std::runtime_error(std::string("fork: ") +
-                                 std::strerror(errno));
-      }
-      if (pid == 0) {
-        // Child: drop the parent ends inherited so far and serve.
-        ::close(parentFd);
-        links_.clear();
-        ::_exit(runWorkerProcess(childFd));
-      }
-      ::close(childFd);
-      links_.push_back(std::make_unique<FramedTransport>(
-          makeSocketChannel(parentFd)));
-      pids_.push_back(pid);
-    }
-  }
-};
-
-class ExecCluster final : public ProcessCluster {
- public:
-  explicit ExecCluster(int workers) {
-    const std::string exe = currentExecutablePath();
-    if (exe.empty()) {
-      throw std::runtime_error(
-          "shard: cannot resolve /proc/self/exe for worker spawn");
-    }
-    for (int w = 0; w < workers; ++w) {
-      auto [parentFd, childFd] = makeSocketPair();
-      // The child fd must survive exec; the parent end must not leak
-      // into siblings.
-      ::fcntl(parentFd, F_SETFD, FD_CLOEXEC);
-      const pid_t pid = ::fork();
-      if (pid < 0) {
-        ::close(parentFd);
-        ::close(childFd);
-        throw std::runtime_error(std::string("fork: ") +
-                                 std::strerror(errno));
-      }
-      if (pid == 0) {
-        const std::string flag = kWorkerFlag + std::to_string(childFd);
-        char* const args[] = {const_cast<char*>(exe.c_str()),
-                              const_cast<char*>(flag.c_str()), nullptr};
-        ::execv(exe.c_str(), args);
-        ::_exit(127);  // exec failed
-      }
-      ::close(childFd);
-      links_.push_back(std::make_unique<FramedTransport>(
-          makeSocketChannel(parentFd)));
-      pids_.push_back(pid);
-    }
-  }
 };
 
 }  // namespace
 
-std::unique_ptr<ShardCluster> makeLoopbackCluster(int workers) {
-  return std::make_unique<LoopbackCluster>(workers);
+std::vector<FramedTransport*> ShardCluster::links() {
+  std::vector<FramedTransport*> out;
+  out.reserve(links_.size());
+  for (const auto& link : links_) out.push_back(link.get());
+  return out;
 }
 
-std::unique_ptr<ShardCluster> makeForkCluster(int workers) {
-  return std::make_unique<ForkCluster>(workers);
+std::unique_ptr<ShardCluster> makeLoopbackCluster(int workers) {
+  return std::make_unique<LoopbackCluster>(workers);
 }
 
 std::unique_ptr<ShardCluster> makeExecCluster(int workers) {

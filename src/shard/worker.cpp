@@ -74,6 +74,10 @@ class ShardWorker {
     lowerBound_.rebuild(aggregated_);
   }
 
+  /// The epoch being served (the last one received), for failure
+  /// attribution.
+  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
+
   /// Serves Epoch/Decide/Fin frames until Fin; throws serve::Error on
   /// protocol violations and injected/structural failures.
   void run() {
@@ -127,6 +131,10 @@ class ShardWorker {
         throw serve::Error(serve::Stage::Ingest, epoch_,
                            "request object out of range");
       }
+      if (ev.origin < 0 || ev.origin >= tree_.nodeCount()) {
+        throw serve::Error(serve::Stage::Ingest, epoch_,
+                           "request origin out of range");
+      }
     }
     bucketed_.resize(n);
     dynamic::bucketRequestsByObject(msg.events, numObjects_, offsets_,
@@ -173,30 +181,11 @@ class ShardWorker {
     }
     servedRequests_ += served;
 
-    // Full-matrix aggregation in the single-process order: remove the
-    // touched objects' lower-bound terms, fold ALL events (owned or
-    // not) into the matrix in arrival order, re-add the touched terms.
-    // Every shard holds the complete matrix, so handoff placements that
-    // read other rows stay shard-count independent.
-    for (ObjectId x = 0; x < numObjects_; ++x) {
-      if (offsets_[static_cast<std::size_t>(x)] !=
-          offsets_[static_cast<std::size_t>(x) + 1]) {
-        lowerBound_.remove(x, aggregated_);
-      }
-    }
-    for (const RequestEvent& ev : msg.events) {
-      if (ev.isWrite) {
-        aggregated_.addWrites(ev.object, ev.origin, 1);
-      } else {
-        aggregated_.addReads(ev.object, ev.origin, 1);
-      }
-    }
-    for (ObjectId x = 0; x < numObjects_; ++x) {
-      if (offsets_[static_cast<std::size_t>(x)] !=
-          offsets_[static_cast<std::size_t>(x) + 1]) {
-        lowerBound_.add(x, aggregated_);
-      }
-    }
+    // Full-matrix aggregation in the single-process order, over ALL
+    // events (owned or not). Every shard holds the complete matrix, so
+    // handoff placements that read other rows stay shard-count
+    // independent.
+    lowerBound_.absorbEpoch(msg.events, offsets_, aggregated_);
 
     StatsMsg stats;
     stats.epoch = epoch_;
@@ -306,7 +295,7 @@ class ShardWorker {
 }  // namespace
 
 void runWorker(FramedTransport& transport) {
-  std::uint64_t epoch = 0;
+  std::unique_ptr<ShardWorker> worker;
   try {
     Frame hello = transport.recv();
     if (hello.type != FrameType::kHello) {
@@ -330,7 +319,7 @@ void runWorker(FramedTransport& transport) {
     }
     // Stack construction failures — unparsable tree, unknown policy
     // spec, bad partition parameters — are handshake failures.
-    auto worker = [&] {
+    worker = [&] {
       try {
         return std::make_unique<ShardWorker>(transport, msg);
       } catch (const serve::Error&) {
@@ -359,7 +348,7 @@ void runWorker(FramedTransport& transport) {
   } catch (const std::exception& e) {
     ErrorMsg err;
     err.stage = static_cast<std::uint32_t>(serve::Stage::Serve);
-    err.epoch = epoch;
+    err.epoch = worker != nullptr ? worker->epoch() : 0;
     err.cause = e.what();
     try {
       transport.send(FrameType::kError, err.encode());

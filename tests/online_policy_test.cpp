@@ -5,6 +5,7 @@
 // server's policy plumbing (migratable() gating, report metrics).
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 
 #include "hbn/dynamic/harness.h"
 #include "hbn/dynamic/online_policy.h"
+#include "hbn/engine/registry.h"
 #include "hbn/net/generators.h"
 #include "hbn/net/steiner.h"
 #include "hbn/serve/epoch_server.h"
@@ -283,20 +285,28 @@ TEST(OnlinePolicy, StaticServesFrozenPossiblyDisconnectedCopySets) {
           << "edge " << e << " acc=" << useAcc;
     }
   }
-  // The handoff placement comes from the nested strategy and covers
-  // every object.
-  workload::Workload aggregated(numObjects, tree.nodeCount());
+  // The handoff targets come from the nested strategy and cover every
+  // object.
+  auto aggregated =
+      std::make_shared<workload::Workload>(numObjects, tree.nodeCount());
   for (const Request& request : requests) {
     if (request.isWrite) {
-      aggregated.addWrites(request.object, request.origin, 1);
+      aggregated->addWrites(request.object, request.origin, 1);
     } else {
-      aggregated.addReads(request.object, request.origin, 1);
+      aggregated->addReads(request.object, request.origin, 1);
     }
   }
-  const core::Placement placement = policy->handoffPlacement(aggregated, 1);
+  engine::Context ctx;
+  const core::Placement placement =
+      engine::StrategyRegistry::global().create("extended-nibble")->place(
+          tree, *aggregated, ctx);
   ASSERT_EQ(placement.numObjects(), numObjects);
-  for (const auto& object : placement.objects) {
-    EXPECT_FALSE(object.locations().empty());
+  const auto pass = policy->beginHandoff(aggregated, 1);
+  for (ObjectId x = 0; x < numObjects; ++x) {
+    const std::vector<net::NodeId> target = pass->target(x, 0);
+    EXPECT_FALSE(target.empty());
+    EXPECT_EQ(target,
+              placement.objects[static_cast<std::size_t>(x)].locations());
   }
 }
 

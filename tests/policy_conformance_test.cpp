@@ -7,15 +7,18 @@
 //     EpochServer's edge loads and copy sets bit-for-bit;
 //   * serving is bit-identical across thread counts AND across the
 //     barrier/pipelined engines, drift passes included;
-//   * the handoff seam behaves: beginHandoff targets agree with
-//     handoffPlacement rows, resetCopySet commits and is idempotent,
-//     and non-migratable policies refuse the seam loudly;
+//   * the handoff seam behaves: beginHandoff targets agree with the
+//     policy's reference placement (the nibble strategy for
+//     tree-counters, the nested spec for static), resetCopySet commits
+//     and is idempotent, and non-migratable policies refuse the seam
+//     loudly;
 //   * spec() rendering is a fixed point of the registry's parser.
 // A new policy registered tomorrow is picked up automatically and must
 // hold every property or fail here by name.
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -25,6 +28,7 @@
 
 #include "hbn/dynamic/harness.h"
 #include "hbn/dynamic/online_policy.h"
+#include "hbn/engine/registry.h"
 #include "hbn/net/generators.h"
 #include "hbn/net/steiner.h"
 #include "hbn/serve/epoch_server.h"
@@ -70,6 +74,25 @@ std::unique_ptr<OnlinePolicy> buildPolicy(const std::string& spec,
                                           const net::RootedTree& rooted) {
   return OnlinePolicyRegistry::global().create(spec)->build(
       rooted, kObjects, rooted.tree().processors().front());
+}
+
+/// The placement a migratable policy's §4 pass must reproduce row for
+/// row: the "nibble" strategy for tree-counters, the nested placement
+/// spec for static. None for adaptive, whose targets are its members'
+/// copy sets rather than a placement of the frequencies.
+std::optional<core::Placement> referencePlacement(
+    const OnlinePolicy& policy, const workload::Workload& aggregated) {
+  std::string strategy = "nibble";
+  if (policy.name() == "static") {
+    strategy = engine::StrategyOptions::parse(
+                   engine::splitSpec(policy.spec()).options)
+                   .getString("placement", "extended-nibble");
+  } else if (policy.name() != "tree-counters") {
+    return std::nullopt;
+  }
+  engine::Context ctx;
+  return engine::StrategyRegistry::global().create(strategy)->place(
+      policy.flatView().rooted().tree(), aggregated, ctx);
 }
 
 /// The slow oracle: serve epoch-sized chunks shard-by-shard in
@@ -227,10 +250,11 @@ TEST(PolicyConformance, BitIdenticalAcrossThreadsAndEngines) {
 }
 
 // ---------------------------------------------------------------------------
-// Property 3: the handoff seam. Migratable policies must agree between
-// handoffPlacement rows and beginHandoff targets, and resetCopySet must
-// commit the target and be idempotent; non-migratable policies must
-// refuse resetCopySet with logic_error (the server never calls it).
+// Property 3: the handoff seam. Migratable policies' beginHandoff
+// targets must agree with their reference placement rows, and
+// resetCopySet must commit the target and be idempotent; non-migratable
+// policies must refuse beginHandoff and resetCopySet with logic_error
+// (the server never calls either).
 // ---------------------------------------------------------------------------
 TEST(PolicyConformance, HandoffSeamCommitsAndIsIdempotent) {
   const net::Tree tree = net::makeClusterNetwork(3, 4);
@@ -241,12 +265,6 @@ TEST(PolicyConformance, HandoffSeamCommitsAndIsIdempotent) {
     const auto policy = buildPolicy(spec, rooted);
     // Warm the policy so counters/windows hold real state.
     (void)serveOracle(*policy, rooted, events);
-    const auto procs = tree.processors();
-    if (!policy->migratable()) {
-      const std::vector<net::NodeId> anywhere = {procs.front()};
-      EXPECT_THROW(policy->resetCopySet(0, anywhere), std::logic_error);
-      continue;
-    }
     workload::Workload aggregated(kObjects, tree.nodeCount());
     for (const workload::RequestEvent& event : events) {
       if (event.isWrite) {
@@ -255,19 +273,30 @@ TEST(PolicyConformance, HandoffSeamCommitsAndIsIdempotent) {
         aggregated.addReads(event.object, event.origin, 1);
       }
     }
-    // handoffPlacement and a beginHandoff pass opened on the same
-    // snapshot must route every object to the same locations.
-    const core::Placement placement =
-        policy->handoffPlacement(aggregated, 1);
-    ASSERT_EQ(placement.numObjects(), kObjects);
     const std::shared_ptr<const workload::Workload> snapshot(
         std::shared_ptr<const workload::Workload>(), &aggregated);
+    const auto procs = tree.processors();
+    if (!policy->migratable()) {
+      const std::vector<net::NodeId> anywhere = {procs.front()};
+      EXPECT_THROW((void)policy->beginHandoff(snapshot, 1), std::logic_error);
+      EXPECT_THROW(policy->resetCopySet(0, anywhere), std::logic_error);
+      continue;
+    }
+    // The reference placement and a beginHandoff pass opened on the
+    // same snapshot must route every object to the same locations.
+    const std::optional<core::Placement> placement =
+        referencePlacement(*policy, aggregated);
+    if (placement) {
+      ASSERT_EQ(placement->numObjects(), kObjects);
+    }
     const auto pass = policy->beginHandoff(snapshot, 1);
     for (ObjectId x = 0; x < kObjects; ++x) {
       const std::vector<net::NodeId> target = pass->target(x, 0);
-      EXPECT_EQ(target,
-                placement.objects[static_cast<std::size_t>(x)].locations())
-          << "object " << x;
+      if (placement) {
+        EXPECT_EQ(target,
+                  placement->objects[static_cast<std::size_t>(x)].locations())
+            << "object " << x;
+      }
       ASSERT_FALSE(target.empty()) << "object " << x;
       // Committing the same target twice is a fixed point: the second
       // reset sees locations == copySet and must leave them unchanged.

@@ -394,7 +394,7 @@ TEST(EpochServer, InfiniteRatioIsAFixedPointThroughJson) {
 }
 
 TEST(EpochServer, PipelinedMatchesBarrierBitForBit) {
-  // The pipelined engine (threaded ingest + lazy RCU-published handoff
+  // The pipelined engine (threaded ingest + lazy per-object handoff
   // application) must produce exactly the barrier engine's deterministic
   // state: counters, copy sets, edge loads, handoff count — on a skewed
   // drift workload that actually fires re-placements, for 1 and N

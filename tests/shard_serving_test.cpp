@@ -1,8 +1,10 @@
 // End-to-end tests for the sharded serving engine (hbn/shard/):
 // digest identity with the single-process EpochServer for every
 // registered policy and worker count, socket-transport equivalence via
-// fork()ed worker processes, cross-wire error propagation with stage
-// attribution, the peer watchdog, and coordinator option validation.
+// exec'd worker processes (this binary re-executed; see
+// worker_gtest_main.cpp), cross-wire error propagation with stage
+// attribution, worker-side request validation, the peer watchdog, and
+// coordinator option validation.
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -16,6 +18,7 @@
 
 #include "hbn/dynamic/online_policy.h"
 #include "hbn/net/generators.h"
+#include "hbn/net/serialize.h"
 #include "hbn/serve/epoch_server.h"
 #include "hbn/serve/error.h"
 #include "hbn/serve/request_stream.h"
@@ -23,6 +26,7 @@
 #include "hbn/shard/process.h"
 #include "hbn/shard/transport.h"
 #include "hbn/shard/wire.h"
+#include "hbn/shard/worker.h"
 #include "hbn/util/fault.h"
 
 namespace hbn::shard {
@@ -125,17 +129,18 @@ TEST(ShardServing, BitIdenticalToSingleProcessForEveryPolicy) {
   }
 }
 
-// The socket transport (fork()ed worker processes over Unix sockets)
-// must produce the same bits as in-process loopback.
-TEST(ShardServing, ForkedSocketWorkersMatchLoopback) {
+// The socket transport (exec'd worker processes over Unix sockets, the
+// launcher hbn_serve ships) must produce the same bits as in-process
+// loopback and as the single-process engine.
+TEST(ShardServing, ExecSocketWorkersMatchLoopback) {
   const net::Tree tree = testTree();
   const std::vector<workload::RequestEvent> events = makeEvents(tree);
   auto loopback = makeLoopbackCluster(2);
   const std::string reference =
       shardedDigest(tree, events, "tree-counters", *loopback);
-  auto forked = makeForkCluster(2);
-  EXPECT_EQ(shardedDigest(tree, events, "tree-counters", *forked),
-            reference);
+  EXPECT_EQ(reference, singleProcessDigest(tree, events, "tree-counters"));
+  auto exec = makeExecCluster(2);
+  EXPECT_EQ(shardedDigest(tree, events, "tree-counters", *exec), reference);
 }
 
 // An unknown policy spec fails inside the worker during stack
@@ -146,7 +151,7 @@ TEST(ShardServing, WorkerConstructionFailureArrivesAsConnect) {
   const net::Tree tree = testTree();
   const std::vector<workload::RequestEvent> events = makeEvents(tree);
   for (const bool socket : {false, true}) {
-    auto cluster = socket ? makeForkCluster(2) : makeLoopbackCluster(2);
+    auto cluster = socket ? makeExecCluster(2) : makeLoopbackCluster(2);
     serve::VectorStream stream(events);
     ShardCoordinator coordinator(tree, kObjects,
                                  baseOptions("no-such-policy"),
@@ -233,7 +238,7 @@ TEST(ShardServing, SilentPeerTripsWatchdog) {
 // Peer error naming the shard and the exit status — the
 // supervisor-facing contract of the process clusters.
 TEST(ShardServing, JoinReportsFailedWorkerProcess) {
-  auto cluster = makeForkCluster(1);
+  auto cluster = makeExecCluster(1);
   // Closing the coordinator link makes the worker see end-of-stream
   // while waiting for Hello — a Peer-stage failure, so the child
   // process exits with the Peer exit code (17), which join() reports.
@@ -245,6 +250,56 @@ TEST(ShardServing, JoinReportsFailedWorkerProcess) {
     EXPECT_EQ(e.stage(), serve::Stage::Peer);
     EXPECT_NE(e.cause().find("worker 0"), std::string::npos);
     EXPECT_NE(e.cause().find("17"), std::string::npos);
+  }
+}
+
+// The worker validates every request's origin before serving, as
+// EpochIngest does single-process. A scripted coordinator drives one
+// worker process entry (runWorkerProcess over a socketpair) through
+// two valid epochs, then one whose last request has an out-of-range
+// origin: that epoch must fail at the Ingest stage (exit code 10)
+// instead of indexing past the worker's copy tables.
+TEST(ShardServing, WorkerRejectsOutOfRangeOrigin) {
+  const net::Tree tree = testTree();
+  const std::vector<workload::RequestEvent> events = makeEvents(tree);
+  for (const net::NodeId origin : {tree.nodeCount() + 1000, -5}) {
+    SCOPED_TRACE(origin);
+    auto [coordFd, workerFd] = makeSocketPair();
+    int exitCode = -1;
+    // Declared before the link: an early ASSERT return closes the link
+    // first, so the worker sees end-of-stream and the join completes.
+    std::jthread worker(
+        [&exitCode, fd = workerFd] { exitCode = runWorkerProcess(fd); });
+    FramedTransport link(makeSocketChannel(coordFd));
+    HelloMsg hello;
+    hello.numObjects = kObjects;
+    hello.policySpec = "tree-counters";
+    hello.treeText = net::toText(tree);
+    link.send(FrameType::kHello, hello.encode());
+    ASSERT_EQ(link.recv().type, FrameType::kHelloAck);
+    for (std::size_t epoch = 0; epoch < 3; ++epoch) {
+      EpochMsg msg;
+      msg.epoch = epoch;
+      msg.events.assign(events.begin() + epoch * 100,
+                        events.begin() + (epoch + 1) * 100);
+      if (epoch == 2) msg.events.back().origin = origin;
+      link.send(FrameType::kEpoch, msg.encode());
+      if (epoch == 2) break;
+      ASSERT_EQ(link.recv().type, FrameType::kStats);
+      DecideMsg decide;
+      decide.epoch = epoch;
+      link.send(FrameType::kDecide, decide.encode());
+    }
+    const Frame reply = link.recv();
+    ASSERT_EQ(reply.type, FrameType::kError);
+    const ErrorMsg error = ErrorMsg::decode(reply.payload);
+    EXPECT_EQ(error.stage, static_cast<std::uint32_t>(serve::Stage::Ingest))
+        << error.cause;
+    EXPECT_EQ(error.epoch, 2u);
+    EXPECT_NE(error.cause.find("origin"), std::string::npos) << error.cause;
+    link.close();
+    worker.join();
+    EXPECT_EQ(exitCode, 10);
   }
 }
 
