@@ -90,8 +90,8 @@ std::vector<workload::RequestEvent> materialize(const net::Tree& tree,
 /// The digest both engines are compared on: every run-level counter the
 /// serve layer reports plus the full merged edge-load vector, printed
 /// at round-trip precision.
-template <typename Report>
-std::string digestOf(const Report& report, const core::LoadMap& loads) {
+std::string digestOf(const serve::ServeReport& report,
+                     const core::LoadMap& loads) {
   std::ostringstream oss;
   oss.precision(17);
   oss << report.congestion << '|' << report.lowerBound << '|'

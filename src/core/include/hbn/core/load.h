@@ -44,6 +44,12 @@ class LoadMap {
     assert(e >= 0 && static_cast<std::size_t>(e) < edgeLoad_.size());
     edgeLoad_[static_cast<std::size_t>(e)] += amount;
   }
+  /// Adds a per-edge load vector (one entry per edge) onto this map —
+  /// the additive merge of per-worker and per-shard deltas.
+  void addEdgeLoads(std::span<const Count> delta) {
+    assert(delta.size() == edgeLoad_.size());
+    for (std::size_t e = 0; e < delta.size(); ++e) edgeLoad_[e] += delta[e];
+  }
   /// Zeroes every edge load, keeping the allocation (per-epoch worker
   /// maps in the serving engine are reused this way).
   void clear() noexcept { std::fill(edgeLoad_.begin(), edgeLoad_.end(), 0); }

@@ -24,11 +24,51 @@ double elapsedMs(EpochBatch::Clock::time_point from,
 
 }  // namespace
 
+void finishReport(ServeReport& report, double wallMs,
+                  const util::Accumulator& epochMs,
+                  const util::ReservoirSampler& latency) {
+  report.wallMs = wallMs;
+  report.requestsPerSec =
+      wallMs > 0.0 ? static_cast<double>(report.totalRequests) / wallMs * 1e3
+                   : 0.0;
+  report.epochMsP50 = epochMs.empty() ? 0.0 : epochMs.percentile(50.0);
+  report.epochMsP99 = epochMs.empty() ? 0.0 : epochMs.percentile(99.0);
+  report.epochMsP999 = epochMs.empty() ? 0.0 : epochMs.percentile(99.9);
+  report.latencyMsP50 = latency.empty() ? 0.0 : latency.percentile(50.0);
+  report.latencyMsP99 = latency.empty() ? 0.0 : latency.percentile(99.0);
+  report.latencyMsP999 = latency.empty() ? 0.0 : latency.percentile(99.9);
+  report.latencySamples = latency.seen();
+  report.ratio =
+      dynamic::competitiveRatio(report.congestion, report.lowerBound);
+}
+
+void recordEpochLatency(std::span<const EpochBatch::Arrival> arrivals,
+                        EpochBatch::Clock::time_point done,
+                        EpochRecord& record,
+                        util::ReservoirSampler& latency,
+                        std::vector<double>& scratch) {
+  if (arrivals.empty()) return;
+  scratch.clear();
+  for (const auto& [stamp, count] : arrivals) {
+    scratch.push_back(elapsedMs(stamp, done));
+    (void)count;
+  }
+  std::sort(scratch.begin(), scratch.end());
+  record.latencyMsP50 = util::percentileSorted(scratch, 50.0);
+  record.latencyMsP99 = util::percentileSorted(scratch, 99.0);
+  record.latencyMsP999 = util::percentileSorted(scratch, 99.9);
+  for (const double sample : scratch) latency.add(sample);
+}
+
 EpochServer::EpochServer(const net::RootedTree& rooted, int numObjects,
-                         const ServeOptions& options)
+                         const ServeOptions& options, std::vector<bool> owned)
     : rooted_(&rooted),
       numObjects_(numObjects),
       options_(options),
+      owned_(std::move(owned)),
+      ownedCount_(owned_.empty()
+                      ? numObjects
+                      : std::count(owned_.begin(), owned_.end(), true)),
       policy_(dynamic::OnlinePolicyRegistry::global()
                   .create(options.policy)
                   ->build(rooted, numObjects,
@@ -49,12 +89,24 @@ EpochServer::EpochServer(const net::RootedTree& rooted, int numObjects,
   if (options.handoffRetries < 0) {
     throw std::invalid_argument("EpochServer: handoffRetries >= 0");
   }
+  if (!owned_.empty() &&
+      owned_.size() != static_cast<std::size_t>(numObjects)) {
+    throw std::invalid_argument("EpochServer: ownership mask size");
+  }
+}
+
+void EpochServer::ensureWorkers() {
+  if (!workers_.empty()) return;
+  const int edgeCount = rooted_->tree().edgeCount();
+  const int count = core::resolveWorkerCount(options_.threads, numObjects_);
+  workers_.reserve(static_cast<std::size_t>(count));
+  for (int w = 0; w < count; ++w) workers_.emplace_back(*policy_, edgeCount);
+  stepLoads_ = core::LoadMap(edgeCount);
+  stepMigration_ = core::LoadMap(edgeCount);
 }
 
 ServeReport EpochServer::serve(RequestStream& stream) {
   const net::Tree& tree = rooted_->tree();
-  const int edgeCount = tree.edgeCount();
-  const int workers = core::resolveWorkerCount(options_.threads, numObjects_);
 
   // Stage 1: the (possibly threaded) ingest keeps the next epoch
   // validated and bucketed while this thread serves the current one.
@@ -64,38 +116,11 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   EpochIngest ingest(stream, tree, numObjects_, options_.epochSize,
                      options_.pipeline, options_.faults.get(),
                      logBase_ + log_.size());
-  util::FaultInjector* const faults = options_.faults.get();
-
-  std::vector<core::LoadMap> workerLoads;       // serve + update traffic
-  std::vector<core::LoadMap> workerMigration;   // lazy handoff traffic
-  workerLoads.reserve(static_cast<std::size_t>(workers));
-  workerMigration.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    workerLoads.emplace_back(edgeCount);
-    workerMigration.emplace_back(edgeCount);
-  }
-  std::vector<dynamic::ShardStats> workerStats(
-      static_cast<std::size_t>(workers));
-  std::vector<dynamic::ServeScratch> workerScratch(
-      static_cast<std::size_t>(workers));
-  // One difference-counting accumulator per worker over the shared flat
-  // view: serveShard batches each object's path charges through it and
-  // flushes exact integer loads into the worker's LoadMap, so the merge
-  // below is unchanged and bit-identical for any worker count.
-  std::vector<core::FlatLoadAccumulator> workerAcc;
-  workerAcc.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    workerAcc.emplace_back(policy_->flatView());
-  }
 
   ServeReport report;
   report.policy = options_.policy;
   report.pipeline = options_.pipeline;
   report.epochBufferBytes = ingest.bufferBytes();
-  // Track the analytic lower bound incrementally: per epoch only the
-  // touched objects' contributions are refreshed. Seeded with one full
-  // pass so repeated serve() calls keep accumulating correctly.
-  lowerBound_.rebuild(aggregated_);
   util::Accumulator epochMs;
   std::vector<double> epochLatency;
   util::Timer total;
@@ -108,96 +133,16 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     EpochBatch* const batch = acquired.batch;
     if (batch == nullptr) break;
     util::Timer epochTimer;
-    const std::size_t n = batch->n;
     const std::uint64_t epochIndex = logBase_ + log_.size();
     if (acquired.degraded) ++degradedEpochs_;
 
-    // Stage 2: shard the epoch over the object range — whole objects
-    // per worker, per-worker loads/stats/scratch, no shared mutable
-    // state. A worker first applies any handoff passes its object has
-    // not migrated through yet (stage 3's lazy application; exclusive
-    // by striping), then serves the shard against the up-to-date copy
-    // configuration — so per-object state trajectories match barrier
-    // mode exactly.
-    for (int w = 0; w < workers; ++w) {
-      workerLoads[static_cast<std::size_t>(w)].clear();
-      workerMigration[static_cast<std::size_t>(w)].clear();
-      workerStats[static_cast<std::size_t>(w)] = {};
-    }
-    const std::uint64_t retired = passesBegun_ - pendingPasses_.size();
-    const std::uint64_t targetVersion = passesBegun_;
-    core::parallelForObjects(
-        numObjects_, options_.threads, [&](ObjectId x, int worker) {
-          // Injected worker failure: thrown as a structured Serve error,
-          // propagated deterministically by parallelForObjects (lowest
-          // stripe wins) and through serve() — the kill the checkpoint
-          // recovery tests restart from.
-          if (faults != nullptr &&
-              faults->fire(util::FaultKind::ShardThrow, epochIndex, worker)) {
-            throw Error(Stage::Serve, epochIndex,
-                        "injected shard failure (worker " +
-                            std::to_string(worker) + ")");
-          }
-          const std::size_t begin = batch->offsets[static_cast<std::size_t>(x)];
-          const std::size_t end =
-              batch->offsets[static_cast<std::size_t>(x) + 1];
-          // Untouched objects keep their stale copy sets — they receive
-          // no traffic, so serving state cannot diverge from barrier
-          // mode, and deferring them is exactly what keeps the handoff
-          // lump out of the epochs (they migrate on a later touch or in
-          // the end-of-stream drain).
-          if (begin == end) return;
-          const auto w = static_cast<std::size_t>(worker);
-          if (appliedVersion_[static_cast<std::size_t>(x)] < targetVersion) {
-            applyPendingMigrations(x, worker, retired, targetVersion,
-                                   workerMigration[w], workerAcc[w]);
-          }
-          const dynamic::ShardStats stats = policy_->serveShard(
-              x, std::span<const RequestEvent>(batch->bucketed.data() + begin,
-                                               end - begin),
-              workerLoads[w], workerScratch[w], &workerAcc[w]);
-          workerStats[w].replications += stats.replications;
-          workerStats[w].invalidations += stats.invalidations;
-        });
-
-    // Deterministic merge: integer edge loads and counters sum the same
-    // for any worker count. Serve traffic feeds both the total and the
-    // serve-only map (the drift trigger's input); migration traffic
-    // feeds the total only.
-    for (int w = 0; w < workers; ++w) {
-      const auto& served = workerLoads[static_cast<std::size_t>(w)];
-      const auto& migrated = workerMigration[static_cast<std::size_t>(w)];
-      for (net::EdgeId e = 0; e < edgeCount; ++e) {
-        const core::Count serveLoad = served.edgeLoad(e);
-        if (serveLoad != 0) {
-          loads_.addEdgeLoad(e, serveLoad);
-          serveLoads_.addEdgeLoad(e, serveLoad);
-        }
-        const core::Count migrationLoad = migrated.edgeLoad(e);
-        if (migrationLoad != 0) loads_.addEdgeLoad(e, migrationLoad);
-      }
-      replications_ += workerStats[static_cast<std::size_t>(w)].replications;
-      invalidations_ +=
-          workerStats[static_cast<std::size_t>(w)].invalidations;
-    }
-    // Aggregate the epoch's frequencies AFTER serving it. The ordering
-    // is what lets handoff passes read the live matrix with zero copy:
-    // a pass applies to object x on x's first touch after the trigger,
-    // and x's row only mutates when x is touched — so at application
-    // time (before this epoch's aggregation) the row is bit-equal to
-    // its trigger-time value. The lower bound after epoch k still sees
-    // the traffic of epochs <= k, exactly as the barrier engine did.
-    lowerBound_.absorbEpoch(
-        std::span<const RequestEvent>(batch->raw.data(), n), batch->offsets,
-        aggregated_);
-
-    servedTotal_ += n;
-    retireAppliedPasses();
+    // Stages 2 and 3: serve, merge, aggregate, retire.
+    serveBatch(*batch, epochIndex);
 
     // Epoch bookkeeping and the adaptive re-placement trigger.
     EpochRecord record;
     record.index = epochIndex;
-    record.requests = n;
+    record.requests = batch->n;
     record.degraded = acquired.degraded;
     record.lowerBound = lowerBound_.congestion();
     record.congestion = loads_.congestion(tree);
@@ -212,16 +157,16 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     // (wantsHandoff — e.g. adaptive committing per-object routing
     // switches), independent of the drift knob.
     if (policy_->migratable() && (driftFired || policy_->wantsHandoff())) {
-      beginPass(workers, epochIndex);
-      ++replacements_;
-      record.replaced = true;
-      if (!options_.pipeline) {
+      if (options_.pipeline) {
+        beginPass(epochIndex);
+      } else {
         // Barrier mode: stop the world and migrate every object inside
         // the drift epoch, like the pre-pipeline engine.
-        drainAllPasses(workerMigration, workerAcc, workers);
-        retireAppliedPasses();
+        replaceNow(epochIndex);
         record.congestion = loads_.congestion(tree);  // migration included
       }
+      ++replacements_;
+      record.replaced = true;
       drift_.reset(serveCongestion, record.lowerBound);
     }
     // Epoch-boundary checkpoint. Draining the pending passes first
@@ -233,45 +178,24 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     // is unchanged too.
     if (!options_.checkpointDir.empty() &&
         (epochIndex + 1) % options_.checkpointEvery == 0) {
-      drainAllPasses(workerMigration, workerAcc, workers);
+      drainAllPasses();
       retireAppliedPasses();
       record.congestion = loads_.congestion(tree);  // migration included
-      try {
-        writeCheckpointFile(snapshotStateAt(epochIndex + 1),
-                            options_.checkpointDir);
-      } catch (const Error&) {
-        throw;
-      } catch (const std::exception& e) {
-        throw Error(Stage::Checkpoint, epochIndex, e.what());
-      }
-      ++checkpointsWritten_;
+      writeCheckpointAt(epochIndex + 1);
       record.checkpointed = true;
     }
     record.ratio =
         dynamic::competitiveRatio(record.congestion, record.lowerBound);
     record.wallMs = epochTimer.millis();
-
-    // Stage-3 product metric: request latency = epoch completion minus
-    // chunk arrival, sampled per fill chunk and fed to the run-level
-    // reservoir. Wall-clock only — excluded from determinism digests.
-    if (options_.latencySample > 0 && !batch->arrivals.empty()) {
-      const auto done = EpochBatch::Clock::now();
-      epochLatency.clear();
-      for (const auto& [stamp, count] : batch->arrivals) {
-        epochLatency.push_back(elapsedMs(stamp, done));
-        (void)count;
-      }
-      std::sort(epochLatency.begin(), epochLatency.end());
-      record.latencyMsP50 = util::percentileSorted(epochLatency, 50.0);
-      record.latencyMsP99 = util::percentileSorted(epochLatency, 99.0);
-      record.latencyMsP999 = util::percentileSorted(epochLatency, 99.9);
-      for (const double sample : epochLatency) latency_.add(sample);
+    if (options_.latencySample > 0) {
+      recordEpochLatency(batch->arrivals, EpochBatch::Clock::now(), record,
+                         latency_, epochLatency);
     }
 
     epochMs.add(record.wallMs);
     log_.push_back(record);
     ++report.epochs;
-    report.totalRequests += n;
+    report.totalRequests += batch->n;
     ingest.release(batch);
   }
 
@@ -280,7 +204,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   // drain is outside any epoch, so it never shows up in epoch or
   // latency percentiles — in a live system it is exactly the work that
   // keeps happening in the background after the last request.
-  drainAllPasses(workerMigration, workerAcc, workers);
+  drainAllPasses();
   retireAppliedPasses();
 
   // Final checkpoint: a restart resumes from exactly end-of-run state
@@ -288,34 +212,12 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   // epoch already checkpointed this boundary).
   if (!options_.checkpointDir.empty() &&
       (log_.empty() || !log_.back().checkpointed)) {
-    const std::uint64_t epochs = logBase_ + log_.size();
-    try {
-      writeCheckpointFile(snapshotStateAt(epochs), options_.checkpointDir);
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw Error(Stage::Checkpoint, epochs == 0 ? 0 : epochs - 1, e.what());
-    }
-    ++checkpointsWritten_;
+    writeCheckpointAt(logBase_ + log_.size());
     if (!log_.empty()) log_.back().checkpointed = true;
   }
 
-  report.wallMs = total.millis();
-  report.requestsPerSec =
-      report.wallMs > 0.0
-          ? static_cast<double>(report.totalRequests) / report.wallMs * 1e3
-          : 0.0;
-  report.epochMsP50 = epochMs.empty() ? 0.0 : epochMs.percentile(50.0);
-  report.epochMsP99 = epochMs.empty() ? 0.0 : epochMs.percentile(99.0);
-  report.epochMsP999 = epochMs.empty() ? 0.0 : epochMs.percentile(99.9);
-  report.latencyMsP50 = latency_.empty() ? 0.0 : latency_.percentile(50.0);
-  report.latencyMsP99 = latency_.empty() ? 0.0 : latency_.percentile(99.0);
-  report.latencyMsP999 = latency_.empty() ? 0.0 : latency_.percentile(99.9);
-  report.latencySamples = latency_.seen();
   report.congestion = loads_.congestion(tree);
   report.lowerBound = lowerBound_.congestion();
-  report.ratio =
-      dynamic::competitiveRatio(report.congestion, report.lowerBound);
   report.replacements = replacements_;
   report.replications = replications_;
   report.invalidations = invalidations_;
@@ -323,10 +225,103 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   report.handoffRetries = handoffRetriesUsed_;
   report.checkpoints = checkpointsWritten_;
   report.policyMetrics = policy_->metrics();
+  finishReport(report, total.millis(), epochMs, latency_);
   return report;
 }
 
-void EpochServer::beginPass(int workers, std::uint64_t epoch) {
+const core::LoadMap& EpochServer::serveBatch(const EpochBatch& batch,
+                                             std::uint64_t epoch) {
+  ensureWorkers();
+  util::FaultInjector* const faults = options_.faults.get();
+  const std::size_t n = batch.n;
+
+  // Stage 2: shard the epoch over the object range — whole objects
+  // per worker, per-worker loads/stats/scratch, no shared mutable
+  // state. A worker first applies any handoff passes its object has
+  // not migrated through yet (stage 3's lazy application; exclusive
+  // by striping), then serves the shard against the up-to-date copy
+  // configuration — so per-object state trajectories match barrier
+  // mode exactly.
+  for (Worker& worker : workers_) {
+    worker.loads.clear();
+    worker.migration.clear();
+    worker.stats = {};
+    worker.requests = 0;
+  }
+  const std::uint64_t retired = passesBegun_ - pendingPasses_.size();
+  const std::uint64_t targetVersion = passesBegun_;
+  core::parallelForObjects(
+      numObjects_, options_.threads, [&](ObjectId x, int index) {
+        // Injected worker failure: thrown as a structured Serve error,
+        // propagated deterministically by parallelForObjects (lowest
+        // stripe wins) and through serve() — the kill the checkpoint
+        // recovery tests restart from.
+        if (faults != nullptr &&
+            faults->fire(util::FaultKind::ShardThrow, epoch, index)) {
+          throw Error(Stage::Serve, epoch,
+                      "injected shard failure (worker " +
+                          std::to_string(index) + ")");
+        }
+        const std::size_t begin = batch.offsets[static_cast<std::size_t>(x)];
+        const std::size_t end = batch.offsets[static_cast<std::size_t>(x) + 1];
+        // Untouched objects keep their stale copy sets — they receive
+        // no traffic, so serving state cannot diverge from barrier
+        // mode, and deferring them is exactly what keeps the handoff
+        // lump out of the epochs (they migrate on a later touch or in
+        // the end-of-stream drain).
+        if (begin == end || !owns(x)) return;
+        Worker& worker = workers_[static_cast<std::size_t>(index)];
+        if (appliedVersion_[static_cast<std::size_t>(x)] < targetVersion) {
+          applyPendingMigrations(x, index, worker, retired, targetVersion);
+        }
+        const dynamic::ShardStats stats = policy_->serveShard(
+            x, std::span<const RequestEvent>(batch.bucketed.data() + begin,
+                                             end - begin),
+            worker.loads, worker.scratch, &worker.acc);
+        worker.stats.replications += stats.replications;
+        worker.stats.invalidations += stats.invalidations;
+        worker.requests += end - begin;
+      });
+
+  // Deterministic merge: integer edge loads and counters sum the same
+  // for any worker count. Serve traffic feeds the total, the
+  // serve-only map (the drift trigger's input) and the step delta;
+  // migration traffic feeds the total only.
+  stepLoads_.clear();
+  for (const Worker& worker : workers_) {
+    for (core::LoadMap* map : {&loads_, &serveLoads_, &stepLoads_}) {
+      map->addEdgeLoads(worker.loads.edgeLoads());
+    }
+    loads_.addEdgeLoads(worker.migration.edgeLoads());
+    replications_ += worker.stats.replications;
+    invalidations_ += worker.stats.invalidations;
+    ownedRequests_ += worker.requests;
+  }
+  // Aggregate the epoch's frequencies AFTER serving it — every event,
+  // owned or not. The ordering is what lets handoff passes read the
+  // live matrix with zero copy: a pass applies to object x on x's
+  // first touch after the trigger, and x's row only mutates when x is
+  // touched — so at application time (before this epoch's aggregation)
+  // the row is bit-equal to its trigger-time value. The lower bound
+  // after epoch k still sees the traffic of epochs <= k, exactly as
+  // the barrier engine did.
+  lowerBound_.absorbEpoch(std::span<const RequestEvent>(batch.raw.data(), n),
+                          batch.offsets, aggregated_);
+
+  servedTotal_ += n;
+  retireAppliedPasses();
+  return stepLoads_;
+}
+
+const core::LoadMap& EpochServer::replaceNow(std::uint64_t epoch) {
+  ensureWorkers();
+  beginPass(epoch);
+  const core::LoadMap& migration = drainAllPasses();
+  retireAppliedPasses();
+  return migration;
+}
+
+void EpochServer::beginPass(std::uint64_t epoch) {
   // Hand the policy the live aggregated matrix without copying it: a
   // lazy target for object x is only ever queried on x's first touch
   // after this trigger, and because epochs aggregate after they serve,
@@ -348,7 +343,8 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
           faults->fire(util::FaultKind::HandoffFail, epoch, -1)) {
         throw std::runtime_error("injected handoff publication failure");
       }
-      pass->pass = policy_->beginHandoff(snapshot, workers);
+      pass->pass = policy_->beginHandoff(snapshot,
+                                         static_cast<int>(workers_.size()));
       break;
     } catch (const std::exception& e) {
       if (attempt >= options_.handoffRetries) {
@@ -365,11 +361,10 @@ void EpochServer::beginPass(int workers, std::uint64_t epoch) {
   pendingPasses_.push_back(std::move(pass));
 }
 
-void EpochServer::applyPendingMigrations(ObjectId x, int worker,
+void EpochServer::applyPendingMigrations(ObjectId x, int index,
+                                         Worker& worker,
                                          std::uint64_t retired,
-                                         std::uint64_t targetVersion,
-                                         core::LoadMap& migration,
-                                         core::FlatLoadAccumulator& acc) {
+                                         std::uint64_t targetVersion) {
   // §4 handoff, one object at a time: chain through every pass this
   // object has not migrated through yet, in creation order — charging
   // Steiner(current ∪ target) and resetting the copy set per pass, the
@@ -378,43 +373,35 @@ void EpochServer::applyPendingMigrations(ObjectId x, int worker,
   while (applied < targetVersion) {
     PassState& pass =
         *pendingPasses_[static_cast<std::size_t>(applied - retired)];
-    const std::vector<net::NodeId> target = pass.pass->target(x, worker);
-    // The shared per-object migration step (compare / charge Steiner /
-    // resetCopySet) — also what the shard worker's barrier application
-    // runs, so single-process and sharded serving charge bit-identical
-    // migration traffic.
-    dynamic::applyHandoffTarget(*policy_, x, target, acc, migration);
+    const std::vector<net::NodeId> target = pass.pass->target(x, index);
+    dynamic::applyHandoffTarget(*policy_, x, target, worker.acc,
+                                worker.migration);
     ++applied;
     pass.applied.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void EpochServer::drainAllPasses(
-    std::vector<core::LoadMap>& workerMigration,
-    std::vector<core::FlatLoadAccumulator>& workerAcc, int workers) {
-  if (pendingPasses_.empty()) return;
-  const net::Tree& tree = rooted_->tree();
-  for (int w = 0; w < workers; ++w) {
-    workerMigration[static_cast<std::size_t>(w)].clear();
-  }
+const core::LoadMap& EpochServer::drainAllPasses() {
+  stepMigration_.clear();
+  if (pendingPasses_.empty()) return stepMigration_;
+  for (Worker& worker : workers_) worker.migration.clear();
   const std::uint64_t retired = passesBegun_ - pendingPasses_.size();
   const std::uint64_t targetVersion = passesBegun_;
   core::parallelForObjects(
-      numObjects_, options_.threads, [&](ObjectId x, int worker) {
-        if (appliedVersion_[static_cast<std::size_t>(x)] >= targetVersion) {
+      numObjects_, options_.threads, [&](ObjectId x, int index) {
+        if (appliedVersion_[static_cast<std::size_t>(x)] >= targetVersion ||
+            !owns(x)) {
           return;
         }
-        const auto w = static_cast<std::size_t>(worker);
-        applyPendingMigrations(x, worker, retired, targetVersion,
-                               workerMigration[w], workerAcc[w]);
+        applyPendingMigrations(x, index,
+                               workers_[static_cast<std::size_t>(index)],
+                               retired, targetVersion);
       });
-  for (int w = 0; w < workers; ++w) {
-    const auto& partial = workerMigration[static_cast<std::size_t>(w)];
-    for (net::EdgeId e = 0; e < tree.edgeCount(); ++e) {
-      const core::Count load = partial.edgeLoad(e);
-      if (load != 0) loads_.addEdgeLoad(e, load);
-    }
+  for (const Worker& worker : workers_) {
+    loads_.addEdgeLoads(worker.migration.edgeLoads());
+    stepMigration_.addEdgeLoads(worker.migration.edgeLoads());
   }
+  return stepMigration_;
 }
 
 void EpochServer::retireAppliedPasses() {
@@ -422,9 +409,20 @@ void EpochServer::retireAppliedPasses() {
   // worker, so no worker can still be reading a pass popped here.
   while (!pendingPasses_.empty() &&
          pendingPasses_.front()->applied.load(std::memory_order_relaxed) ==
-             numObjects_) {
+             ownedCount_) {
     pendingPasses_.pop_front();
   }
+}
+
+void EpochServer::writeCheckpointAt(std::uint64_t epochs) {
+  try {
+    writeCheckpointFile(snapshotStateAt(epochs), options_.checkpointDir);
+  } catch (const Error&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw Error(Stage::Checkpoint, epochs == 0 ? 0 : epochs - 1, e.what());
+  }
+  ++checkpointsWritten_;
 }
 
 CheckpointData EpochServer::snapshotStateAt(std::uint64_t epochs) const {
@@ -451,12 +449,9 @@ CheckpointData EpochServer::snapshotStateAt(std::uint64_t epochs) const {
   data.checkpointsWritten = checkpointsWritten_;
   data.serveCongestionMark = drift_.serveCongestionMark;
   data.lowerBoundMark = drift_.lowerBoundMark;
-  data.loads.resize(static_cast<std::size_t>(edgeCount));
-  data.serveLoads.resize(static_cast<std::size_t>(edgeCount));
-  for (net::EdgeId e = 0; e < edgeCount; ++e) {
-    data.loads[static_cast<std::size_t>(e)] = loads_.edgeLoad(e);
-    data.serveLoads[static_cast<std::size_t>(e)] = serveLoads_.edgeLoad(e);
-  }
+  data.loads.assign(loads_.edgeLoads().begin(), loads_.edgeLoads().end());
+  data.serveLoads.assign(serveLoads_.edgeLoads().begin(),
+                         serveLoads_.edgeLoads().end());
   data.workloadText = workload::toText(aggregated_);
   std::ostringstream policyState;
   policy_->serializeState(policyState);
@@ -479,8 +474,10 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
                                 data.policySpec + "' vs server '" +
                                 policy_->spec() + "')");
   }
+  const auto edges = static_cast<std::size_t>(tree.edgeCount());
   if (data.numObjects != numObjects_ || data.numNodes != tree.nodeCount() ||
-      data.numEdges != tree.edgeCount()) {
+      data.numEdges != tree.edgeCount() || data.loads.size() != edges ||
+      data.serveLoads.size() != edges) {
     throw std::invalid_argument(
         "checkpoint: topology mismatch (objects/nodes/edges differ)");
   }
@@ -494,10 +491,8 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
   std::istringstream policyState(data.policyState);
   policy_->restoreState(policyState);
   aggregated_ = std::move(restored);
-  for (net::EdgeId e = 0; e < tree.edgeCount(); ++e) {
-    loads_.addEdgeLoad(e, data.loads[static_cast<std::size_t>(e)]);
-    serveLoads_.addEdgeLoad(e, data.serveLoads[static_cast<std::size_t>(e)]);
-  }
+  loads_.addEdgeLoads(data.loads);
+  serveLoads_.addEdgeLoads(data.serveLoads);
   servedTotal_ = data.servedTotal;
   logBase_ = data.epochs;
   replacements_ = data.replacements;
@@ -510,6 +505,9 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
   checkpointsWritten_ = data.checkpointsWritten;
   drift_.serveCongestionMark = data.serveCongestionMark;
   drift_.lowerBoundMark = data.lowerBoundMark;
+  // The one place aggregated_ changes other than absorbEpoch: bring the
+  // incrementally maintained bound up to the restored matrix.
+  lowerBound_.rebuild(aggregated_);
 }
 
 }  // namespace hbn::serve

@@ -36,6 +36,10 @@
 // bit; wall-clock fields (epoch/latency percentiles) are where they
 // differ.
 //
+// serve() loops over two public epoch steps, serveBatch() and
+// replaceNow(); the shard worker drives the same two over a server
+// restricted to its objects, so the §4 epoch step exists once.
+//
 // The drift trigger measures *serve-only* congestion (migration traffic
 // excluded) against the lower bound in both modes, so the trigger
 // schedule is mode-independent even though migration lands at different
@@ -51,6 +55,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -204,12 +209,32 @@ struct ServeReport {
   std::uint64_t checkpoints = 0;
 };
 
+/// Finishes a run's report the same way in both engines: throughput,
+/// epoch and request-latency percentiles, and the ratio of the
+/// (already set) congestion to the lower bound.
+void finishReport(ServeReport& report, double wallMs,
+                  const util::Accumulator& epochMs,
+                  const util::ReservoirSampler& latency);
+
+/// Request latency of one finished epoch: each fill chunk's arrival
+/// stamp against `done` is one sample (ms), summarised into `record`
+/// and fed to the run's `latency` reservoir. Wall-clock only.
+void recordEpochLatency(std::span<const EpochBatch::Arrival> arrivals,
+                        EpochBatch::Clock::time_point done,
+                        EpochRecord& record,
+                        util::ReservoirSampler& latency,
+                        std::vector<double>& scratch);
+
 class EpochServer {
  public:
   /// `rooted` must outlive the server. Objects start with one copy on
-  /// the first processor, as in the competitive harness.
+  /// the first processor, as in the competitive harness. `owned`
+  /// (numObjects entries, empty = all) restricts serving and migration
+  /// to a shard's objects; aggregation still absorbs every event, so
+  /// the frequency matrix and lower bound stay the unrestricted ones.
   EpochServer(const net::RootedTree& rooted, int numObjects,
-              const ServeOptions& options = {});
+              const ServeOptions& options = {},
+              std::vector<bool> owned = {});
 
   /// Drains `stream` epoch by epoch; returns the aggregate report.
   /// Callable repeatedly — state (copy sets, loads, aggregated
@@ -217,6 +242,18 @@ class EpochServer {
   /// pending handoff pass is fully drained before returning, so copy
   /// sets and loads observed between calls match barrier mode.
   ServeReport serve(RequestStream& stream);
+
+  /// One epoch step: serves `batch` over the owned objects (stage 2),
+  /// merges, aggregates every event and retires applied passes.
+  /// Returns the epoch's serve + update loads, valid until the next
+  /// step. `epoch` is the absolute index faults and errors name.
+  const core::LoadMap& serveBatch(const EpochBatch& batch,
+                                  std::uint64_t epoch);
+
+  /// The barrier-mode §4 handoff: opens a pass and migrates every
+  /// owned object through it now. Returns the migration loads, valid
+  /// until the next step.
+  const core::LoadMap& replaceNow(std::uint64_t epoch);
 
   /// Per-epoch records of all serve() calls so far.
   [[nodiscard]] const std::vector<EpochRecord>& epochLog() const noexcept {
@@ -237,6 +274,11 @@ class EpochServer {
     return *policy_;
   }
   [[nodiscard]] int numObjects() const noexcept { return numObjects_; }
+  [[nodiscard]] double lowerBound() const { return lowerBound_.congestion(); }
+  /// Lifetime counters over the owned objects.
+  [[nodiscard]] core::Count replications() const { return replications_; }
+  [[nodiscard]] core::Count invalidations() const { return invalidations_; }
+  [[nodiscard]] std::uint64_t ownedRequests() const { return ownedRequests_; }
 
   /// Captures the server's full resumable state as a checkpoint. The
   /// server must be quiescent (no pending handoff passes — true between
@@ -270,37 +312,60 @@ class EpochServer {
     std::atomic<std::int64_t> applied{0};
   };
 
+  /// One serve worker's state, reused across epochs. `acc` batches
+  /// serveShard's path charges and flushes exact integer loads, so the
+  /// merge is bit-identical for any worker count. Cache-line aligned:
+  /// workers write their own state concurrently.
+  struct alignas(64) Worker {
+    explicit Worker(const dynamic::OnlinePolicy& policy, int edgeCount)
+        : loads(edgeCount), migration(edgeCount), acc(policy.flatView()) {}
+    core::LoadMap loads;
+    core::LoadMap migration;
+    dynamic::ShardStats stats;
+    std::uint64_t requests = 0;
+    dynamic::ServeScratch scratch;
+    core::FlatLoadAccumulator acc;
+  };
+
+  [[nodiscard]] bool owns(ObjectId x) const {
+    return owned_.empty() || owned_[static_cast<std::size_t>(x)];
+  }
+  /// Builds workers_ on the first step, keeping construction light.
+  void ensureWorkers();
   /// Opens a HandoffPass over aggregated_ (zero-copy; see the
   /// HandoffPass row-stability contract) and queues it. Failures
   /// (injected or real) are retried up to ServeOptions.handoffRetries
   /// times with escalating backoff; exhaustion throws
   /// serve::Error{Handoff, epoch}.
-  void beginPass(int workers, std::uint64_t epoch);
+  void beginPass(std::uint64_t epoch);
   /// Applies every pass still pending for `x` up to `targetVersion`,
-  /// charging migration traffic into `migration` via `acc`. Called from
-  /// workers (object striping makes x exclusive). `retired` counts the
-  /// passes already popped, read on the serve thread before the region:
-  /// pendingPasses_[i] is pass version retired + i + 1.
-  void applyPendingMigrations(ObjectId x, int worker, std::uint64_t retired,
-                              std::uint64_t targetVersion,
-                              core::LoadMap& migration,
-                              core::FlatLoadAccumulator& acc);
-  /// Applies all pending passes to every object now (the barrier drain
-  /// and the end-of-stream drain), merging migration traffic into
-  /// loads_.
-  void drainAllPasses(std::vector<core::LoadMap>& workerMigration,
-                      std::vector<core::FlatLoadAccumulator>& workerAcc,
-                      int workers);
-  /// Pops and frees fully applied passes off the front of the pending
-  /// queue. Serve thread, between worker regions.
+  /// charging migration traffic into `worker`'s migration loads. Called
+  /// from workers (object striping makes x exclusive). `retired` counts
+  /// the passes already popped, read on the serve thread before the
+  /// region: pendingPasses_[i] is pass version retired + i + 1.
+  void applyPendingMigrations(ObjectId x, int index, Worker& worker,
+                              std::uint64_t retired,
+                              std::uint64_t targetVersion);
+  /// Applies all pending passes to every owned object now (the barrier
+  /// drain and the end-of-stream drain), merging migration traffic into
+  /// loads_ and returning it.
+  const core::LoadMap& drainAllPasses();
+  /// Pops and frees passes every owned object has applied off the front
+  /// of the pending queue. Serve thread, between worker regions.
   void retireAppliedPasses();
   /// snapshotState with an explicit completed-epoch count (the serve
   /// loop checkpoints before pushing the epoch's record).
   [[nodiscard]] CheckpointData snapshotStateAt(std::uint64_t epochs) const;
+  /// Writes the checkpoint after `epochs` completed epochs; failures
+  /// become serve::Error{Checkpoint} naming the last of them.
+  void writeCheckpointAt(std::uint64_t epochs);
 
   const net::RootedTree* rooted_;
   int numObjects_;
   ServeOptions options_;
+  /// Served objects (empty = all); a pass retires at ownedCount_.
+  std::vector<bool> owned_;
+  std::int64_t ownedCount_;
   std::unique_ptr<dynamic::OnlinePolicy> policy_;
   workload::Workload aggregated_;
   /// Running analytic lower bound of aggregated_, refreshed per epoch
@@ -319,9 +384,14 @@ class EpochServer {
   /// specs address epochs in absolute terms.
   std::uint64_t logBase_ = 0;
   std::uint64_t servedTotal_ = 0;
+  std::uint64_t ownedRequests_ = 0;
   core::Count replications_ = 0;
   core::Count invalidations_ = 0;
   std::uint64_t replacements_ = 0;
+  /// Per-worker state and the last step's merged deltas.
+  std::vector<Worker> workers_;
+  core::LoadMap stepLoads_{0};
+  core::LoadMap stepMigration_{0};
   /// The §4 drift trigger (marks at the last re-placement plus the
   /// shared comparison — see hbn/serve/drift.h; the shard coordinator
   /// drives the identical struct).

@@ -54,12 +54,13 @@ namespace hbn::serve {
 /// stamps.
 struct EpochBatch {
   using Clock = std::chrono::steady_clock;
+  /// (arrival stamp, requests that arrived with it), one per fill chunk.
+  using Arrival = std::pair<Clock::time_point, std::size_t>;
 
   std::vector<RequestEvent> raw;
   std::vector<RequestEvent> bucketed;
   std::vector<std::size_t> offsets;  ///< numObjects + 1 CSR offsets
-  /// (arrival stamp, requests that arrived with it), one per fill chunk.
-  std::vector<std::pair<Clock::time_point, std::size_t>> arrivals;
+  std::vector<Arrival> arrivals;
   std::size_t n = 0;  ///< requests in this epoch
   /// Absolute epoch number this batch holds (baseEpoch + fills so far)
   /// — fault specs and ingest errors name epochs in these terms.
@@ -67,6 +68,13 @@ struct EpochBatch {
 
   /// Bytes of per-request buffering this batch holds.
   [[nodiscard]] std::uint64_t bufferBytes() const noexcept;
+
+  /// Validates raw[0, n) — every object in [0, numObjects), every
+  /// origin in [0, numNodes), else std::out_of_range — and buckets it
+  /// stably by object into `bucketed`/`offsets` (growing them if
+  /// needed). The one validate + bucket step of the ingest and the
+  /// shard worker.
+  void bucket(int numObjects, int numNodes);
 };
 
 /// What acquireFor() handed out: the batch (nullptr at end of stream)
@@ -119,6 +127,11 @@ class EpochIngest {
   [[nodiscard]] std::uint64_t bufferBytes() const noexcept;
 
  private:
+  /// Sizes `batch`'s buffers for one epoch.
+  void allocate(EpochBatch& batch) const;
+  /// Hands out the ready slot; otherwise rethrows a captured fill error
+  /// or returns nullptr (end of stream). Caller holds mutex_.
+  [[nodiscard]] EpochBatch* takeReady();
   /// Chunked fill + validate + bucket of one epoch into `batch`.
   void fillBatch(EpochBatch& batch);
   /// Claims the next epoch number and fills `batch` while holding

@@ -27,6 +27,22 @@ std::uint64_t EpochBatch::bufferBytes() const noexcept {
              sizeof(arrivals[0]);
 }
 
+void EpochBatch::bucket(int numObjects, int numNodes) {
+  const std::span<const RequestEvent> events(raw.data(), n);
+  for (const RequestEvent& ev : events) {
+    if (ev.object < 0 || ev.object >= numObjects) {
+      throw std::out_of_range("request object out of range");
+    }
+    if (ev.origin < 0 || ev.origin >= numNodes) {
+      throw std::out_of_range("request origin out of range");
+    }
+  }
+  if (bucketed.size() < n) bucketed.resize(n);
+  offsets.resize(static_cast<std::size_t>(numObjects) + 1);
+  dynamic::bucketRequestsByObject(events, numObjects, offsets,
+                                  std::span<RequestEvent>(bucketed.data(), n));
+}
+
 EpochIngest::EpochIngest(RequestStream& stream, const net::Tree& tree,
                          int numObjects, std::size_t epochSize, bool threaded,
                          util::FaultInjector* faults,
@@ -41,13 +57,8 @@ EpochIngest::EpochIngest(RequestStream& stream, const net::Tree& tree,
   if (epochSize_ < 1) {
     throw std::invalid_argument("EpochIngest: epochSize >= 1");
   }
-  const std::size_t slotCount = threaded_ ? 2 : 1;
-  for (std::size_t s = 0; s < slotCount; ++s) {
-    slots_[s].raw.resize(epochSize_);
-    slots_[s].bucketed.resize(epochSize_);
-    slots_[s].offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
-    slots_[s].arrivals.reserve(kIngestChunks);
-  }
+  allocate(slots_[0]);
+  if (threaded_) allocate(slots_[1]);
   // Launch last: everything the thread touches is initialised, and the
   // RAII shutdown() below joins it on every exit path after this point.
   if (threaded_) {
@@ -56,6 +67,25 @@ EpochIngest::EpochIngest(RequestStream& stream, const net::Tree& tree,
 }
 
 EpochIngest::~EpochIngest() { shutdown(); }
+
+void EpochIngest::allocate(EpochBatch& batch) const {
+  batch.raw.resize(epochSize_);
+  batch.bucketed.resize(epochSize_);
+  batch.offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
+  batch.arrivals.reserve(kIngestChunks);
+}
+
+EpochBatch* EpochIngest::takeReady() {
+  if (state_[serveIndex_] == SlotState::Ready) {
+    // Drain ready slots before reporting end-of-stream or an error: the
+    // epochs before the failure point are valid either way.
+    EpochBatch* batch = &slots_[serveIndex_];
+    serveIndex_ = 1 - serveIndex_;
+    return batch;
+  }
+  if (error_) std::rethrow_exception(error_);
+  return nullptr;  // exhausted
+}
 
 void EpochIngest::shutdown() noexcept {
   if (!worker_.joinable()) return;
@@ -81,19 +111,7 @@ void EpochIngest::fillBatch(EpochBatch& batch) {
     batch.n += got;
   }
   if (batch.n == 0) return;
-  for (std::size_t i = 0; i < batch.n; ++i) {
-    const RequestEvent& ev = batch.raw[i];
-    if (ev.object < 0 || ev.object >= numObjects_) {
-      throw std::out_of_range("EpochServer: request object out of range");
-    }
-    if (ev.origin < 0 || ev.origin >= tree_->nodeCount()) {
-      throw std::out_of_range("EpochServer: request origin out of range");
-    }
-  }
-  dynamic::bucketRequestsByObject(
-      std::span<const RequestEvent>(batch.raw.data(), batch.n), numObjects_,
-      batch.offsets,
-      std::span<RequestEvent>(batch.bucketed.data(), batch.n));
+  batch.bucket(numObjects_, tree_->nodeCount());
 }
 
 bool EpochIngest::fillNextEpoch(EpochBatch& batch) {
@@ -190,15 +208,7 @@ EpochBatch* EpochIngest::acquire() {
   readyCv_.wait(lock, [this] {
     return error_ || exhausted_ || state_[serveIndex_] == SlotState::Ready;
   });
-  if (state_[serveIndex_] == SlotState::Ready) {
-    // Drain ready slots before reporting end-of-stream or an error: the
-    // epochs before the failure point are valid either way.
-    EpochBatch* batch = &slots_[serveIndex_];
-    serveIndex_ = 1 - serveIndex_;
-    return batch;
-  }
-  if (error_) std::rethrow_exception(error_);
-  return nullptr;  // exhausted
+  return takeReady();
 }
 
 AcquireResult EpochIngest::acquireFor(double timeoutMs) {
@@ -210,15 +220,7 @@ AcquireResult EpochIngest::acquireFor(double timeoutMs) {
           return error_ || exhausted_ ||
                  state_[serveIndex_] == SlotState::Ready;
         });
-    if (signalled) {
-      if (state_[serveIndex_] == SlotState::Ready) {
-        EpochBatch* batch = &slots_[serveIndex_];
-        serveIndex_ = 1 - serveIndex_;
-        return {batch, false};
-      }
-      if (error_) std::rethrow_exception(error_);
-      return {nullptr, false};
-    }
+    if (signalled) return {takeReady(), false};
   }
   // Watchdog fired: contend for the fill token. If the ingest thread
   // finishes while we wait for it, serve its slot normally — only a
@@ -228,21 +230,10 @@ AcquireResult EpochIngest::acquireFor(double timeoutMs) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (error_ || exhausted_ || state_[serveIndex_] == SlotState::Ready) {
-      if (state_[serveIndex_] == SlotState::Ready) {
-        EpochBatch* batch = &slots_[serveIndex_];
-        serveIndex_ = 1 - serveIndex_;
-        return {batch, false};
-      }
-      if (error_) std::rethrow_exception(error_);
-      return {nullptr, false};
+      return {takeReady(), false};
     }
   }
-  if (degraded_.offsets.empty()) {
-    degraded_.raw.resize(epochSize_);
-    degraded_.bucketed.resize(epochSize_);
-    degraded_.offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
-    degraded_.arrivals.reserve(kIngestChunks);
-  }
+  if (degraded_.offsets.empty()) allocate(degraded_);
   if (!fillNextEpoch(degraded_)) {
     {
       std::lock_guard<std::mutex> lock(mutex_);

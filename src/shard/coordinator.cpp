@@ -27,6 +27,17 @@ std::string encodeEpochPayload(std::uint64_t epoch,
   return w.take();
 }
 
+/// Rejects a per-edge Stats/Migrate vector that does not match the tree.
+void checkEdgeCount(const std::vector<std::int64_t>& delta, int edges,
+                    int shard, std::uint64_t epoch) {
+  if (delta.size() != static_cast<std::size_t>(edges)) {
+    throw serve::Error(serve::Stage::Frame, epoch,
+                       "shard " + std::to_string(shard) + ": load vector has " +
+                           std::to_string(delta.size()) + " edges, tree has " +
+                           std::to_string(edges));
+  }
+}
+
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(const net::Tree& tree, int numObjects,
@@ -128,12 +139,12 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
   try {
     const net::Tree& tree = *tree_;
     const int shards = static_cast<int>(links_.size());
-    const int edgeCount = tree.edgeCount();
 
     handshake();
 
     ShardedReport report;
     report.policy = options_.serve.policy;
+    report.pipeline = options_.serve.pipeline;
     report.transport = transportName_;
     report.partition = partitionKindName(options_.partition);
     report.workers = shards;
@@ -144,7 +155,11 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
     serve::EpochIngest ingest(stream, tree, numObjects_,
                               options_.serve.epochSize,
                               options_.serve.pipeline, nullptr, 0);
+    report.epochBufferBytes = ingest.bufferBytes();
     util::Accumulator epochMs;
+    util::ReservoirSampler latency(options_.serve.latencySample);
+    std::vector<serve::EpochBatch::Arrival> arrivals;
+    std::vector<double> epochLatency;
     util::Timer total;
     double lastLowerBound = 0.0;
 
@@ -156,6 +171,7 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
       util::Timer epochTimer;
       const std::uint64_t epochIndex = report.epochs;
       const std::size_t n = batch->n;
+      if (acquired.degraded) ++report.degradedEpochs;
 
       // Broadcast: encode once, write identical bytes to every link.
       const std::string frame = FramedTransport::encodeFrame(
@@ -167,6 +183,9 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
         link->setEpoch(epochIndex);
         link->sendEncoded(frame);
       }
+      // The ingest thread refills the slot once released: keep the
+      // arrival stamps for this epoch's request latency.
+      arrivals.assign(batch->arrivals.begin(), batch->arrivals.end());
       ingest.release(batch);
 
       // Convergecast: merge per-shard stats. Integer serve-load deltas
@@ -186,22 +205,9 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
                                  ": stats for epoch " +
                                  std::to_string(stats.epoch));
         }
-        if (stats.serveLoads.size() != static_cast<std::size_t>(edgeCount)) {
-          throw serve::Error(serve::Stage::Frame, epochIndex,
-                             "shard " + std::to_string(s) +
-                                 ": serve-load vector has " +
-                                 std::to_string(stats.serveLoads.size()) +
-                                 " edges, tree has " +
-                                 std::to_string(edgeCount));
-        }
-        for (net::EdgeId e = 0; e < edgeCount; ++e) {
-          const auto load = static_cast<core::Count>(
-              stats.serveLoads[static_cast<std::size_t>(e)]);
-          if (load != 0) {
-            loads_.addEdgeLoad(e, load);
-            serveLoads_.addEdgeLoad(e, load);
-          }
-        }
+        checkEdgeCount(stats.serveLoads, tree.edgeCount(), s, epochIndex);
+        loads_.addEdgeLoads(stats.serveLoads);
+        serveLoads_.addEdgeLoads(stats.serveLoads);
         // Every worker computes the analytic bound over the SAME full
         // matrix — bitwise divergence means a shard saw a different
         // epoch than its peers. Cheapest distributed-determinism check
@@ -250,16 +256,8 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
         for (int s = 0; s < shards; ++s) {
           Frame migrateFrame = expect(s, FrameType::kMigrate, epochIndex);
           const MigrateMsg migrate = MigrateMsg::decode(migrateFrame.payload);
-          if (migrate.loads.size() != static_cast<std::size_t>(edgeCount)) {
-            throw serve::Error(serve::Stage::Frame, epochIndex,
-                               "shard " + std::to_string(s) +
-                                   ": migration-load vector size mismatch");
-          }
-          for (net::EdgeId e = 0; e < edgeCount; ++e) {
-            const auto load = static_cast<core::Count>(
-                migrate.loads[static_cast<std::size_t>(e)]);
-            if (load != 0) loads_.addEdgeLoad(e, load);
-          }
+          checkEdgeCount(migrate.loads, tree.edgeCount(), s, epochIndex);
+          loads_.addEdgeLoads(migrate.loads);
           migrateBusy = std::max(migrateBusy, migrate.busyMs);
         }
         epochBusy += migrateBusy;
@@ -272,6 +270,10 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
       record.ratio =
           dynamic::competitiveRatio(record.congestion, record.lowerBound);
       record.wallMs = epochTimer.millis();
+      if (options_.serve.latencySample > 0) {
+        serve::recordEpochLatency(arrivals, serve::EpochBatch::Clock::now(),
+                                  record, latency, epochLatency);
+      }
       epochMs.add(record.wallMs);
       report.criticalPathMs += epochBusy;
       log_.push_back(record);
@@ -314,23 +316,14 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
     }
     closeAll();
 
-    report.wallMs = total.millis();
-    report.requestsPerSec =
-        report.wallMs > 0.0
-            ? static_cast<double>(report.totalRequests) / report.wallMs * 1e3
-            : 0.0;
+    report.congestion = loads_.congestion(tree);
+    report.lowerBound = lastLowerBound;
+    serve::finishReport(report, total.millis(), epochMs, latency);
     report.requestsPerSecCritical =
         report.criticalPathMs > 0.0
             ? static_cast<double>(report.totalRequests) /
                   report.criticalPathMs * 1e3
             : 0.0;
-    report.epochMsP50 = epochMs.empty() ? 0.0 : epochMs.percentile(50.0);
-    report.epochMsP99 = epochMs.empty() ? 0.0 : epochMs.percentile(99.0);
-    report.epochMsP999 = epochMs.empty() ? 0.0 : epochMs.percentile(99.9);
-    report.congestion = loads_.congestion(tree);
-    report.lowerBound = lastLowerBound;
-    report.ratio =
-        dynamic::competitiveRatio(report.congestion, report.lowerBound);
     report.bytesPerRequest =
         report.totalRequests > 0
             ? static_cast<double>(report.crossShardBytes) /

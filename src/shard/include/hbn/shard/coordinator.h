@@ -78,33 +78,23 @@ struct ShardBreakdown {
   std::map<std::string, double> policyMetrics;
 };
 
-/// Aggregate outcome of one sharded serve run.
-struct ShardedReport {
-  std::string policy;
+/// Aggregate outcome of one sharded serve run: every single-process
+/// ServeReport field (request latency comes from the coordinator's
+/// ingest stamps, as in EpochServer; checkpoints and handoff retries
+/// stay 0 because sharded mode has neither) plus the shard layer's own.
+struct ShardedReport : serve::ServeReport {
   std::string transport;   ///< "loopback" | "socket"
   std::string partition;   ///< "hash" | "range"
   int workers = 1;
-  std::uint64_t totalRequests = 0;
-  std::uint64_t epochs = 0;
-  double wallMs = 0.0;
-  double requestsPerSec = 0.0;  ///< honest wall-clock throughput
   /// Critical-path time: Σ over epochs of the slowest shard's busy
   /// time (decode + bucket + serve + aggregate + lower bound [+
   /// migration]). On a machine with fewer cores than workers the wall
   /// clock serialises the shards, so this models what N genuinely
   /// parallel workers would take; requestsPerSecCritical is the
-  /// scaling metric e16 reports alongside the honest wall clock.
+  /// scaling metric e16 reports alongside the honest wall clock
+  /// (requestsPerSec).
   double criticalPathMs = 0.0;
   double requestsPerSecCritical = 0.0;
-  double epochMsP50 = 0.0;
-  double epochMsP99 = 0.0;
-  double epochMsP999 = 0.0;
-  double congestion = 0.0;
-  double lowerBound = 0.0;
-  double ratio = 0.0;
-  std::uint64_t replacements = 0;
-  core::Count replications = 0;
-  core::Count invalidations = 0;
   /// Coordinator<->worker traffic: every frame byte in both
   /// directions, summed over links.
   std::uint64_t crossShardBytes = 0;

@@ -1,25 +1,28 @@
 // ShardWorker — one shard of the sharded serving engine.
 //
-// A worker owns an object-space shard and runs the existing
-// OnlinePolicy serving stack over it, driven entirely by frames from
-// the coordinator (see hbn/shard/wire.h for the protocol):
+// A worker is the wire protocol (see hbn/shard/wire.h) around one
+// serve::EpochServer constructed with an ownership mask: the objects
+// the Hello's Partition assigns to this shard. The epoch step itself
+// is the single-process engine's, driven one frame at a time:
 //
-//   Hello      build the full stack from the wire: parse the tree,
-//              instantiate the policy, derive the Partition.
-//   Epoch      serve the epoch. Every shard receives the FULL epoch
-//              and aggregates ALL events into a complete frequency
-//              matrix (plus the full-matrix incremental lower bound),
-//              but serves only owned∩touched objects. The full-matrix
-//              invariant is what keeps §4 handoff placements — which
-//              may read other objects' rows (static:placement=
+//   Hello      parse the tree, derive the Partition, build the
+//              EpochServer over the owned objects.
+//   Epoch      validate + bucket the batch (EpochBatch::bucket, as the
+//              ingest does; failures are Stage::Ingest) and run
+//              EpochServer::serveBatch. The server serves only
+//              owned∩touched objects but aggregates ALL events into
+//              its full frequency matrix and lower bound — the
+//              invariant that keeps §4 handoff placements, which may
+//              read other objects' rows (static:placement=
 //              extended-nibble steers its mapping by the basic loads
-//              of every object) — bit-identical for any shard count.
+//              of every object), bit-identical for any shard count.
+//              Stats ships the step's serve-load delta, the counters,
+//              the lower bound and this thread's CPU busy time.
 //   Decide     the coordinator's global re-placement decision. On
-//              replace the worker opens a HandoffPass over its (full,
-//              identical) matrix and applies the target to every owned
-//              object through dynamic::applyHandoffTarget — the same
-//              per-object migration step the single-process engine
-//              runs — then reports the charged traffic in Migrate.
+//              replace the worker runs EpochServer::replaceNow — the
+//              barrier-mode handoff over the full (identical) matrix,
+//              migrating every owned object — and ships the migration
+//              delta in Migrate.
 //   Fin        report the shard summary (FinAck) and return.
 //
 // Failures ship as Error frames with their serve::Error stage intact

@@ -3,27 +3,17 @@
 #include <ctime>
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "hbn/core/load.h"
-#include "hbn/core/lower_bound.h"
-#include "hbn/core/parallel.h"
-#include "hbn/dynamic/harness.h"
-#include "hbn/dynamic/online_policy.h"
 #include "hbn/net/rooted.h"
 #include "hbn/net/serialize.h"
+#include "hbn/serve/epoch_server.h"
 #include "hbn/serve/error.h"
 #include "hbn/shard/partition.h"
-#include "hbn/util/timer.h"
-#include "hbn/workload/workload.h"
 
 namespace hbn::shard {
 namespace {
-
-using workload::ObjectId;
-using workload::RequestEvent;
 
 /// CPU milliseconds burned by THIS thread so far. busyMs feeds the
 /// coordinator's critical-path metric (Σ max-over-shards per epoch),
@@ -41,38 +31,53 @@ double threadCpuMs() {
          static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
-/// The worker's serving stack, built once from the Hello frame.
+/// The objects this shard serves, per the Hello's partition.
+std::vector<bool> ownedObjects(const HelloMsg& hello) {
+  const Partition partition(static_cast<Partition::Kind>(hello.partitionKind),
+                            hello.shardCount, hello.partitionSeed,
+                            hello.numObjects);
+  std::vector<bool> owned(static_cast<std::size_t>(hello.numObjects));
+  for (workload::ObjectId x = 0; x < hello.numObjects; ++x) {
+    owned[static_cast<std::size_t>(x)] = partition.ownerOf(x) == hello.shardId;
+  }
+  return owned;
+}
+
+/// The worker's engine configuration. The coordinator sizes the
+/// epochs, decides every re-placement and samples request latency, so
+/// the worker needs only the policy and its serve threads; a failed
+/// handoff publication fails the epoch without retrying.
+serve::ServeOptions serveOptions(const HelloMsg& hello) {
+  serve::ServeOptions options;
+  options.threads = hello.threads;
+  options.policy = hello.policySpec;
+  options.latencySample = 0;
+  options.handoffRetries = 0;
+  return options;
+}
+
+/// A failure the coordinator shipped, rethrown with its stage.
+[[noreturn]] void rethrowCoordinatorError(const Frame& frame) {
+  const ErrorMsg err = ErrorMsg::decode(frame.payload);
+  throw serve::Error(static_cast<serve::Stage>(err.stage), err.epoch,
+                     "coordinator: " + err.cause);
+}
+
+std::vector<std::int64_t> edgeVector(const core::LoadMap& loads) {
+  const auto edges = loads.edgeLoads();
+  return {edges.begin(), edges.end()};
+}
+
+/// The worker: the wire protocol around an EpochServer restricted to
+/// the shard's objects, built once from the Hello frame.
 class ShardWorker {
  public:
   ShardWorker(FramedTransport& transport, const HelloMsg& hello)
       : transport_(transport),
         tree_(net::parseText(hello.treeText)),
         rooted_(tree_, tree_.defaultRoot()),
-        partition_(static_cast<Partition::Kind>(hello.partitionKind),
-                   hello.shardCount, hello.partitionSeed, hello.numObjects),
-        shardId_(hello.shardId),
-        numObjects_(hello.numObjects),
-        threads_(hello.threads),
-        policy_(dynamic::OnlinePolicyRegistry::global()
-                    .create(hello.policySpec)
-                    ->build(rooted_, hello.numObjects,
-                            tree_.processors().front())),
-        aggregated_(hello.numObjects, tree_.nodeCount()),
-        lowerBound_(rooted_),
-        epochServeLoads_(tree_.edgeCount()),
-        offsets_(static_cast<std::size_t>(hello.numObjects) + 1, 0) {
-    const int workers = core::resolveWorkerCount(threads_, numObjects_);
-    workerLoads_.reserve(static_cast<std::size_t>(workers));
-    workerAcc_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      workerLoads_.emplace_back(tree_.edgeCount());
-      workerAcc_.emplace_back(policy_->flatView());
-    }
-    workerStats_.resize(static_cast<std::size_t>(workers));
-    workerScratch_.resize(static_cast<std::size_t>(workers));
-    servedThisEpoch_.assign(static_cast<std::size_t>(workers), 0);
-    lowerBound_.rebuild(aggregated_);
-  }
+        server_(rooted_, hello.numObjects, serveOptions(hello),
+                ownedObjects(hello)) {}
 
   /// The epoch being served (the last one received), for failure
   /// attribution.
@@ -89,19 +94,17 @@ class ShardWorker {
           break;
         case FrameType::kFin: {
           FinAckMsg ack;
-          ack.requests = servedRequests_;
+          ack.requests = server_.ownedRequests();
           ack.busyMs = totalBusyMs_;
-          ack.replications = static_cast<std::int64_t>(replications_);
-          ack.invalidations = static_cast<std::int64_t>(invalidations_);
-          ack.policyMetrics = policy_->metrics();
+          ack.replications = static_cast<std::int64_t>(server_.replications());
+          ack.invalidations =
+              static_cast<std::int64_t>(server_.invalidations());
+          ack.policyMetrics = server_.policy().metrics();
           transport_.send(FrameType::kFinAck, ack.encode());
           return;
         }
-        case FrameType::kError: {
-          const ErrorMsg err = ErrorMsg::decode(frame.payload);
-          throw serve::Error(static_cast<serve::Stage>(err.stage), err.epoch,
-                             "coordinator: " + err.cause);
-        }
+        case FrameType::kError:
+          rethrowCoordinatorError(frame);
         default:
           throw serve::Error(serve::Stage::Frame, epoch_,
                              std::string("unexpected ") +
@@ -116,7 +119,7 @@ class ShardWorker {
     // aggregation and the lower-bound refresh are this shard's
     // critical-path work for the epoch; the blocking recv above is not.
     const double busyStart = threadCpuMs();
-    const EpochMsg msg = [&] {
+    EpochMsg msg = [&] {
       try {
         return EpochMsg::decode(payload);
       } catch (const std::exception& e) {
@@ -125,92 +128,39 @@ class ShardWorker {
     }();
     epoch_ = msg.epoch;
     transport_.setEpoch(epoch_);
-    const std::size_t n = msg.events.size();
-    for (const RequestEvent& ev : msg.events) {
-      if (ev.object < 0 || ev.object >= numObjects_) {
-        throw serve::Error(serve::Stage::Ingest, epoch_,
-                           "request object out of range");
-      }
-      if (ev.origin < 0 || ev.origin >= tree_.nodeCount()) {
-        throw serve::Error(serve::Stage::Ingest, epoch_,
-                           "request origin out of range");
-      }
+    batch_.raw = std::move(msg.events);
+    batch_.n = batch_.raw.size();
+    try {
+      batch_.bucket(server_.numObjects(), tree_.nodeCount());
+    } catch (const std::exception& e) {
+      throw serve::Error(serve::Stage::Ingest, epoch_, e.what());
     }
-    bucketed_.resize(n);
-    dynamic::bucketRequestsByObject(msg.events, numObjects_, offsets_,
-                                    bucketed_);
 
-    // Serve owned∩touched objects only — the shard's slice of the
-    // epoch. Identical bucketing plus per-object serving means the
-    // union over shards reproduces the single-process epoch exactly.
-    const int workers = static_cast<int>(workerLoads_.size());
-    for (int w = 0; w < workers; ++w) {
-      workerLoads_[static_cast<std::size_t>(w)].clear();
-      workerStats_[static_cast<std::size_t>(w)] = {};
-    }
-    core::parallelForObjects(
-        numObjects_, threads_, [&](ObjectId x, int worker) {
-          const std::size_t begin = offsets_[static_cast<std::size_t>(x)];
-          const std::size_t end = offsets_[static_cast<std::size_t>(x) + 1];
-          if (begin == end) return;
-          if (partition_.ownerOf(x) != shardId_) return;
-          const auto w = static_cast<std::size_t>(worker);
-          const dynamic::ShardStats stats = policy_->serveShard(
-              x,
-              std::span<const RequestEvent>(bucketed_.data() + begin,
-                                            end - begin),
-              workerLoads_[w], workerScratch_[w], &workerAcc_[w]);
-          workerStats_[w].replications += stats.replications;
-          workerStats_[w].invalidations += stats.invalidations;
-          servedThisEpoch_[w] += end - begin;
-        });
+    // The shared epoch step: serves owned∩touched objects only and
+    // aggregates every event into the full matrix, so the union over
+    // shards reproduces the single-process epoch exactly.
+    const core::LoadMap& serveLoads = server_.serveBatch(batch_, epoch_);
+    // Free the decoded events now, as the frame they came from would
+    // be: holding them into the next decode doubles peak memory.
+    batch_.raw = std::vector<workload::RequestEvent>();
 
-    epochServeLoads_.clear();
-    std::uint64_t served = 0;
-    for (int w = 0; w < workers; ++w) {
-      const auto& partial = workerLoads_[static_cast<std::size_t>(w)];
-      for (net::EdgeId e = 0; e < tree_.edgeCount(); ++e) {
-        const core::Count load = partial.edgeLoad(e);
-        if (load != 0) epochServeLoads_.addEdgeLoad(e, load);
-      }
-      replications_ += workerStats_[static_cast<std::size_t>(w)].replications;
-      invalidations_ +=
-          workerStats_[static_cast<std::size_t>(w)].invalidations;
-      served += servedThisEpoch_[static_cast<std::size_t>(w)];
-      servedThisEpoch_[static_cast<std::size_t>(w)] = 0;
-    }
-    servedRequests_ += served;
-
-    // Full-matrix aggregation in the single-process order, over ALL
-    // events (owned or not). Every shard holds the complete matrix, so
-    // handoff placements that read other rows stay shard-count
-    // independent.
-    lowerBound_.absorbEpoch(msg.events, offsets_, aggregated_);
-
+    const dynamic::OnlinePolicy& policy = server_.policy();
     StatsMsg stats;
     stats.epoch = epoch_;
-    stats.lowerBound = lowerBound_.congestion();
+    stats.lowerBound = server_.lowerBound();
     stats.busyMs = threadCpuMs() - busyStart;
-    stats.wantsHandoff =
-        policy_->migratable() && policy_->wantsHandoff() ? 1 : 0;
-    stats.migratable = policy_->migratable() ? 1 : 0;
-    stats.replications = static_cast<std::int64_t>(replications_);
-    stats.invalidations = static_cast<std::int64_t>(invalidations_);
-    stats.serveLoads.resize(
-        static_cast<std::size_t>(tree_.edgeCount()));
-    for (net::EdgeId e = 0; e < tree_.edgeCount(); ++e) {
-      stats.serveLoads[static_cast<std::size_t>(e)] =
-          epochServeLoads_.edgeLoad(e);
-    }
+    stats.wantsHandoff = policy.migratable() && policy.wantsHandoff() ? 1 : 0;
+    stats.migratable = policy.migratable() ? 1 : 0;
+    stats.replications = static_cast<std::int64_t>(server_.replications());
+    stats.invalidations = static_cast<std::int64_t>(server_.invalidations());
+    stats.serveLoads = edgeVector(serveLoads);
     totalBusyMs_ += stats.busyMs;
     transport_.send(FrameType::kStats, stats.encode());
 
     // Broadcast leg of the barrier: the coordinator's global decision.
     Frame decideFrame = transport_.recv();
     if (decideFrame.type == FrameType::kError) {
-      const ErrorMsg err = ErrorMsg::decode(decideFrame.payload);
-      throw serve::Error(static_cast<serve::Stage>(err.stage), err.epoch,
-                         "coordinator: " + err.cause);
+      rethrowCoordinatorError(decideFrame);
     }
     if (decideFrame.type != FrameType::kDecide) {
       throw serve::Error(serve::Stage::Frame, epoch_,
@@ -223,72 +173,26 @@ class ShardWorker {
                          "decide for epoch " + std::to_string(decide.epoch) +
                              " while serving " + std::to_string(epoch_));
     }
-    if (decide.replace != 0) applyReplacement();
-  }
-
-  /// The §4 re-placement wave: open a HandoffPass over the full local
-  /// matrix (identical on every shard) and migrate every owned object
-  /// through the shared per-object step — the barrier-mode drain the
-  /// single-process engine runs inside drift epochs.
-  void applyReplacement() {
-    const double busyStart = threadCpuMs();
-    const int workers = static_cast<int>(workerLoads_.size());
-    const std::shared_ptr<const workload::Workload> snapshot(
-        std::shared_ptr<const workload::Workload>(), &aggregated_);
-    std::unique_ptr<dynamic::HandoffPass> pass = [&] {
-      try {
-        return policy_->beginHandoff(snapshot, workers);
-      } catch (const std::exception& e) {
-        throw serve::Error(serve::Stage::Handoff, epoch_, e.what());
-      }
-    }();
-    for (int w = 0; w < workers; ++w) {
-      workerLoads_[static_cast<std::size_t>(w)].clear();
+    if (decide.replace != 0) {
+      // The §4 re-placement wave: the barrier-mode handoff over the
+      // full local matrix (identical on every shard), migrating every
+      // owned object.
+      const double migrateStart = threadCpuMs();
+      MigrateMsg migrate;
+      migrate.epoch = epoch_;
+      migrate.loads = edgeVector(server_.replaceNow(epoch_));
+      migrate.busyMs = threadCpuMs() - migrateStart;
+      totalBusyMs_ += migrate.busyMs;
+      transport_.send(FrameType::kMigrate, migrate.encode());
     }
-    core::parallelForObjects(
-        numObjects_, threads_, [&](ObjectId x, int worker) {
-          if (partition_.ownerOf(x) != shardId_) return;
-          const auto w = static_cast<std::size_t>(worker);
-          const std::vector<net::NodeId> target = pass->target(x, worker);
-          dynamic::applyHandoffTarget(*policy_, x, target, workerAcc_[w],
-                                      workerLoads_[w]);
-        });
-    MigrateMsg migrate;
-    migrate.epoch = epoch_;
-    migrate.loads.assign(static_cast<std::size_t>(tree_.edgeCount()), 0);
-    for (int w = 0; w < workers; ++w) {
-      const auto& partial = workerLoads_[static_cast<std::size_t>(w)];
-      for (net::EdgeId e = 0; e < tree_.edgeCount(); ++e) {
-        migrate.loads[static_cast<std::size_t>(e)] += partial.edgeLoad(e);
-      }
-    }
-    migrate.busyMs = threadCpuMs() - busyStart;
-    totalBusyMs_ += migrate.busyMs;
-    transport_.send(FrameType::kMigrate, migrate.encode());
   }
 
   FramedTransport& transport_;
   net::Tree tree_;
   net::RootedTree rooted_;
-  Partition partition_;
-  int shardId_;
-  int numObjects_;
-  int threads_;
-  std::unique_ptr<dynamic::OnlinePolicy> policy_;
-  workload::Workload aggregated_;
-  core::IncrementalLowerBound lowerBound_;
-  core::LoadMap epochServeLoads_;
-  std::vector<std::size_t> offsets_;
-  std::vector<RequestEvent> bucketed_;
-  std::vector<core::LoadMap> workerLoads_;
-  std::vector<core::FlatLoadAccumulator> workerAcc_;
-  std::vector<dynamic::ShardStats> workerStats_;
-  std::vector<dynamic::ServeScratch> workerScratch_;
-  std::vector<std::uint64_t> servedThisEpoch_;
+  serve::EpochServer server_;
+  serve::EpochBatch batch_;
   std::uint64_t epoch_ = 0;
-  std::uint64_t servedRequests_ = 0;
-  core::Count replications_ = 0;
-  core::Count invalidations_ = 0;
   double totalBusyMs_ = 0.0;
 };
 
@@ -296,6 +200,19 @@ class ShardWorker {
 
 void runWorker(FramedTransport& transport) {
   std::unique_ptr<ShardWorker> worker;
+  // Ships a failure to the coordinator, which rethrows it with this
+  // shard's attribution; best effort, the link may already be gone.
+  const auto ship = [&](serve::Stage stage, std::uint64_t epoch,
+                        const std::string& cause) {
+    ErrorMsg err;
+    err.stage = static_cast<std::uint32_t>(stage);
+    err.epoch = epoch;
+    err.cause = cause;
+    try {
+      transport.send(FrameType::kError, err.encode());
+    } catch (...) {
+    }
+  };
   try {
     Frame hello = transport.recv();
     if (hello.type != FrameType::kHello) {
@@ -331,29 +248,13 @@ void runWorker(FramedTransport& transport) {
     transport.send(FrameType::kHelloAck, {});
     worker->run();
   } catch (const serve::Error& e) {
-    // Ship the failure with its stage intact; the coordinator rethrows
-    // it with this shard's attribution. Peer errors mean the link
-    // itself is gone — nothing to send on.
-    if (e.stage() != serve::Stage::Peer) {
-      ErrorMsg err;
-      err.stage = static_cast<std::uint32_t>(e.stage());
-      err.epoch = e.epoch();
-      err.cause = e.cause();
-      try {
-        transport.send(FrameType::kError, err.encode());
-      } catch (...) {
-      }
-    }
+    // The stage survives the wire. Peer errors mean the link itself is
+    // gone — nothing to send on.
+    if (e.stage() != serve::Stage::Peer) ship(e.stage(), e.epoch(), e.cause());
     throw;
   } catch (const std::exception& e) {
-    ErrorMsg err;
-    err.stage = static_cast<std::uint32_t>(serve::Stage::Serve);
-    err.epoch = worker != nullptr ? worker->epoch() : 0;
-    err.cause = e.what();
-    try {
-      transport.send(FrameType::kError, err.encode());
-    } catch (...) {
-    }
+    ship(serve::Stage::Serve, worker != nullptr ? worker->epoch() : 0,
+         e.what());
     throw;
   }
 }

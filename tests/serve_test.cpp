@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -456,6 +457,85 @@ TEST(EpochServer, PipelinedMatchesBarrierBitForBit) {
     return stateJson(server, report);
   };
   EXPECT_EQ(runStatic(true), runStatic(false));
+}
+
+// The ownership mask partitions serving, never aggregation: three
+// servers restricted to x % 3 == k, stepped epoch by epoch over the same
+// batches, must together serve exactly what one unrestricted server
+// serves — per-epoch serve loads, cumulative loads and counters sum to
+// its values after every epoch (also across a barrier re-placement),
+// and each keeps the full matrix, so its lower bound equals the
+// unrestricted one.
+TEST(EpochServer, OwnedMasksUnionToTheUnrestrictedServer) {
+  const net::Tree tree = net::makeClusterNetwork(3, 4);
+  const net::RootedTree rooted(tree, tree.defaultRoot());
+  constexpr int kObjects = 48;
+  constexpr int kShards = 3;
+  ServeOptions options;
+  options.replaceDrift = 0.0;  // drift off: epochs are stepped by hand
+  EpochServer full(rooted, kObjects, options);
+  std::vector<std::unique_ptr<EpochServer>> parts;
+  for (int k = 0; k < kShards; ++k) {
+    std::vector<bool> owned(kObjects);
+    for (int x = 0; x < kObjects; ++x) owned[x] = x % kShards == k;
+    parts.push_back(
+        std::make_unique<EpochServer>(rooted, kObjects, options, owned));
+  }
+
+  workload::StreamParams params;
+  params.numObjects = kObjects;
+  const auto stream = makeGeneratedStream("skewed", tree, params, 9, 20'000);
+  EpochBatch batch;
+  batch.raw.resize(2048);
+  const int edges = tree.edgeCount();
+  const auto expectUnion = [&](const core::LoadMap& whole,
+                               const std::vector<core::LoadMap>& pieces) {
+    for (net::EdgeId e = 0; e < edges; ++e) {
+      core::Count sum = 0;
+      for (const core::LoadMap& piece : pieces) sum += piece.edgeLoad(e);
+      EXPECT_EQ(sum, whole.edgeLoad(e)) << "edge " << e;
+    }
+  };
+  for (std::uint64_t epoch = 0;; ++epoch) {
+    SCOPED_TRACE(epoch);
+    batch.n = stream->fill(batch.raw);
+    if (batch.n == 0) break;
+    batch.bucket(kObjects, tree.nodeCount());
+    const core::LoadMap step = full.serveBatch(batch, epoch);
+    std::vector<core::LoadMap> steps;
+    for (auto& part : parts) steps.push_back(part->serveBatch(batch, epoch));
+    expectUnion(step, steps);
+    if (epoch == 3) {
+      // A barrier re-placement migrates each object on its owner only.
+      const core::LoadMap migration = full.replaceNow(epoch);
+      std::vector<core::LoadMap> migrations;
+      for (auto& part : parts) migrations.push_back(part->replaceNow(epoch));
+      expectUnion(migration, migrations);
+    }
+    std::vector<core::LoadMap> totals;
+    core::Count replications = 0;
+    core::Count invalidations = 0;
+    std::uint64_t owned = 0;
+    for (const auto& part : parts) {
+      totals.push_back(part->loads());
+      replications += part->replications();
+      invalidations += part->invalidations();
+      owned += part->ownedRequests();
+      EXPECT_EQ(part->lowerBound(), full.lowerBound());
+      EXPECT_EQ(part->servedTotal(), full.servedTotal());
+    }
+    expectUnion(full.loads(), totals);
+    EXPECT_EQ(replications, full.replications());
+    EXPECT_EQ(invalidations, full.invalidations());
+    EXPECT_EQ(owned, full.ownedRequests());
+  }
+  EXPECT_EQ(full.ownedRequests(), 20'000u);
+  EXPECT_GT(full.replications(), 0);
+  for (workload::ObjectId x = 0; x < kObjects; ++x) {
+    EXPECT_EQ(parts[static_cast<std::size_t>(x % kShards)]->copySet(x),
+              full.copySet(x))
+        << "object " << x;
+  }
 }
 
 TEST(EpochServer, LatencyPercentilesAreSampledAndOrdered) {

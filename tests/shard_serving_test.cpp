@@ -56,8 +56,8 @@ std::vector<workload::RequestEvent> makeEvents(const net::Tree& tree) {
   return events;
 }
 
-template <typename Report>
-std::string digestOf(const Report& report, const core::LoadMap& loads) {
+std::string digestOf(const serve::ServeReport& report,
+                     const core::LoadMap& loads) {
   std::ostringstream oss;
   oss.precision(17);
   oss << report.congestion << '|' << report.lowerBound << '|'
@@ -141,6 +141,31 @@ TEST(ShardServing, ExecSocketWorkersMatchLoopback) {
   EXPECT_EQ(reference, singleProcessDigest(tree, events, "tree-counters"));
   auto exec = makeExecCluster(2);
   EXPECT_EQ(shardedDigest(tree, events, "tree-counters", *exec), reference);
+}
+
+// The coordinator samples request latency from its ingest's arrival
+// stamps exactly as EpochServer does, per epoch and run-wide.
+TEST(ShardServing, CoordinatorReportsRequestLatency) {
+  const net::Tree tree = testTree();
+  const std::vector<workload::RequestEvent> events = makeEvents(tree);
+  auto cluster = makeLoopbackCluster(2);
+  ShardOptions options = baseOptions("tree-counters");
+  options.serve.latencySample = 256;
+  serve::VectorStream stream(events);
+  ShardCoordinator coordinator(tree, kObjects, options, cluster->links(),
+                               "test");
+  const ShardedReport report = coordinator.serve(stream);
+  cluster->join();
+  EXPECT_GT(report.latencySamples, 0u);
+  EXPECT_GT(report.latencyMsP50, 0.0);
+  EXPECT_LE(report.latencyMsP50, report.latencyMsP99);
+  EXPECT_LE(report.latencyMsP99, report.latencyMsP999);
+  ASSERT_FALSE(coordinator.epochLog().empty());
+  for (const serve::EpochRecord& record : coordinator.epochLog()) {
+    EXPECT_GT(record.latencyMsP50, 0.0) << "epoch " << record.index;
+    EXPECT_GT(record.latencyMsP99, 0.0) << "epoch " << record.index;
+    EXPECT_GT(record.latencyMsP999, 0.0) << "epoch " << record.index;
+  }
 }
 
 // An unknown policy spec fails inside the worker during stack

@@ -254,7 +254,10 @@ void printUsage(std::ostream& os) {
         "                    handoff-fail@epochN[:times=K]\n"
         "  --stall-timeout MS  ingest watchdog: past MS the serve thread\n"
         "                    assembles the epoch inline (degraded mode);\n"
-        "                    0 waits forever (default)\n"
+        "                    with --workers it is also the peer watchdog:\n"
+        "                    a worker silent for MS fails the run (exit\n"
+        "                    17; 15 during the handshake); 0 waits\n"
+        "                    forever (default)\n"
         "  --handoff-retries N  retries before a failed handoff\n"
         "                    publication aborts the run (default 3)\n"
         "  --workers N       shard the object space over N workers and\n"
@@ -392,202 +395,81 @@ int main(int argc, char** argv) {
     options.handoffRetries = static_cast<int>(cli.handoffRetries);
     options.faults = util::makeFaultInjector(cli.inject);
 
-    if (cli.workers > 0) {
-      // Sharded mode: fan the stream out over a worker cluster through
-      // the coordinator/worker wire protocol (docs/sharding.md). The
-      // merged loads and ratio are bit-identical to the single-process
-      // engine below for any worker count.
-      shard::ShardOptions sharded;
-      sharded.serve = options;
-      sharded.partition = shard::parsePartitionKind(cli.partition);
-      sharded.partitionSeed = seed;
-      sharded.peerTimeoutMs = cli.stallTimeout;
-      std::unique_ptr<shard::ShardCluster> cluster =
-          cli.transport == "loopback"
-              ? shard::makeLoopbackCluster(cli.workers)
-              : shard::makeExecCluster(cli.workers);
-      shard::ShardCoordinator coordinator(tree, numObjects, sharded,
-                                          cluster->links(), cli.transport);
-
+    // One report type for both engines; the shard-only fields stay
+    // empty in single-process mode.
+    const bool sharded = cli.workers > 0;
+    shard::ShardedReport report;
+    std::vector<serve::EpochRecord> log;
+    const auto announce = [&](const std::string& workers) {
       std::cout << "serving "
                 << (cli.trace.empty() ? "stream '" + cli.stream + "'"
                                       : "trace " + cli.trace)
                 << " over " << tree.processorCount() << " processors, "
-                << numObjects << " objects, " << cli.workers
-                << " shard workers (policy=" << policySpec
-                << ", transport=" << cli.transport
-                << ", partition=" << cli.partition
-                << ", epoch=" << cli.epoch << ", seed=" << seed
-                << ", drift=" << cli.drift << ")\n\n";
+                << numObjects << " objects" << workers
+                << " (policy=" << policySpec << ", epoch=" << cli.epoch
+                << ", threads=" << options.threads << ", seed=" << seed
+                << ", drift=" << cli.drift
+                << ", pipeline=" << (cli.pipeline ? "on" : "off");
+      if (sharded) {
+        std::cout << ", transport=" << cli.transport
+                  << ", partition=" << cli.partition;
+      }
+      std::cout << ")\n\n";
+    };
 
-      const shard::ShardedReport report = coordinator.serve(*stream);
+    if (sharded) {
+      // Sharded mode: fan the stream out over a worker cluster through
+      // the coordinator/worker wire protocol (docs/sharding.md). The
+      // merged loads and ratio are bit-identical to the single-process
+      // engine for any worker count.
+      shard::ShardOptions shardOptions;
+      shardOptions.serve = options;
+      shardOptions.partition = shard::parsePartitionKind(cli.partition);
+      shardOptions.partitionSeed = seed;
+      shardOptions.peerTimeoutMs = cli.stallTimeout;
+      std::unique_ptr<shard::ShardCluster> cluster =
+          cli.transport == "loopback"
+              ? shard::makeLoopbackCluster(cli.workers)
+              : shard::makeExecCluster(cli.workers);
+      shard::ShardCoordinator coordinator(tree, numObjects, shardOptions,
+                                          cluster->links(), cli.transport);
+      announce(", " + std::to_string(cli.workers) + " shard workers");
+      report = coordinator.serve(*stream);
       cluster->join();
-
-      util::Table epochs({"epoch", "requests", "ms", "congestion",
-                          "lower bound", "ratio", "re-placed", "degraded"});
-      const std::size_t logSize = coordinator.epochLog().size();
-      for (std::size_t i = 0; i < logSize; ++i) {
-        if (logSize > 12 && i == 6) {
-          epochs.addRow(
-              {"...", "...", "...", "...", "...", "...", "...", "..."});
+      log = coordinator.epochLog();
+    } else {
+      serve::EpochServer server(rooted, numObjects, options);
+      if (restored) {
+        try {
+          server.restoreFrom(*restored);
+          serve::skipRequests(*stream, restored->servedTotal);
+        } catch (const serve::Error&) {
+          throw;
+        } catch (const std::exception& e) {
+          throw serve::Error(serve::Stage::Restore, restored->epochs,
+                             e.what());
         }
-        if (logSize > 12 && i >= 6 && i + 6 < logSize) continue;
-        const serve::EpochRecord& r = coordinator.epochLog()[i];
-        epochs.addRow({std::to_string(r.index), std::to_string(r.requests),
-                       util::formatDouble(r.wallMs, 1),
-                       util::formatDouble(r.congestion, 1),
-                       util::formatDouble(r.lowerBound, 1),
-                       util::formatDouble(r.ratio, 2),
-                       r.replaced ? "yes" : "", r.degraded ? "yes" : ""});
+        std::cout << "restored from " << cli.restoreDir << ": epoch "
+                  << restored->epochs << ", " << restored->servedTotal
+                  << " requests already served\n";
       }
-      epochs.print(std::cout);
-
-      util::Table shardsTable({"shard", "requests", "busy ms",
-                               "replications", "invalidations", "bytes in",
-                               "bytes out"});
-      for (const shard::ShardBreakdown& b : report.shards) {
-        shardsTable.addRow(
-            {std::to_string(b.shard), std::to_string(b.requests),
-             util::formatDouble(b.busyMs, 1), std::to_string(b.replications),
-             std::to_string(b.invalidations),
-             std::to_string(b.bytesToWorker),
-             std::to_string(b.bytesFromWorker)});
-      }
-      std::cout << "\n";
-      shardsTable.print(std::cout);
-
-      std::cout << "\nserved " << report.totalRequests << " requests in "
-                << report.epochs << " epochs, "
-                << util::formatDouble(report.wallMs, 1) << " ms ("
-                << util::formatDouble(report.requestsPerSec / 1e6, 2)
-                << " M req/s wall, "
-                << util::formatDouble(report.requestsPerSecCritical / 1e6, 2)
-                << " M req/s critical-path)\n"
-                << "epoch latency p50/p99/p999: "
-                << util::formatDouble(report.epochMsP50, 2) << " / "
-                << util::formatDouble(report.epochMsP99, 2) << " / "
-                << util::formatDouble(report.epochMsP999, 2) << " ms\n"
-                << "congestion " << util::formatDouble(report.congestion, 1)
-                << " vs offline lower bound "
-                << util::formatDouble(report.lowerBound, 1) << " — ratio "
-                << util::formatDouble(report.ratio, 2) << "\n"
-                << report.replacements << " re-placements, "
-                << report.replications << " replications, "
-                << report.invalidations << " invalidations\n"
-                << "cross-shard traffic " << report.crossShardBytes
-                << " bytes ("
-                << util::formatDouble(report.bytesPerRequest, 1)
-                << " bytes/request)\n";
-
-      if (!cli.jsonOut.empty()) {
-        util::JsonRecords records;
-        for (const serve::EpochRecord& r : coordinator.epochLog()) {
-          records.beginRecord();
-          records.field("kind", "epoch");
-          records.field("epoch", static_cast<std::int64_t>(r.index));
-          records.field("requests", static_cast<std::int64_t>(r.requests));
-          records.field("wall_ms", r.wallMs);
-          records.field("congestion", r.congestion);
-          records.field("lower_bound", r.lowerBound);
-          records.field("ratio", r.ratio);
-          records.field("replaced", r.replaced);
-          records.field("degraded", r.degraded);
-        }
-        for (const shard::ShardBreakdown& b : report.shards) {
-          records.beginRecord();
-          records.field("kind", "shard");
-          records.field("shard", static_cast<std::int64_t>(b.shard));
-          records.field("requests", static_cast<std::int64_t>(b.requests));
-          records.field("busy_ms", b.busyMs);
-          records.field("replications",
-                        static_cast<std::int64_t>(b.replications));
-          records.field("invalidations",
-                        static_cast<std::int64_t>(b.invalidations));
-          records.field("bytes_to_worker",
-                        static_cast<std::int64_t>(b.bytesToWorker));
-          records.field("bytes_from_worker",
-                        static_cast<std::int64_t>(b.bytesFromWorker));
-          for (const auto& [key, value] : b.policyMetrics) {
-            records.field(key, value);
-          }
-        }
-        records.beginRecord();
-        records.field("kind", "summary");
-        records.field("policy", report.policy);
-        records.field("transport", report.transport);
-        records.field("partition", report.partition);
-        records.field("workers", static_cast<std::int64_t>(report.workers));
-        records.field("requests",
-                      static_cast<std::int64_t>(report.totalRequests));
-        records.field("epochs", static_cast<std::int64_t>(report.epochs));
-        records.field("wall_ms", report.wallMs);
-        records.field("requests_per_sec", report.requestsPerSec);
-        records.field("critical_path_ms", report.criticalPathMs);
-        records.field("requests_per_sec_critical",
-                      report.requestsPerSecCritical);
-        records.field("epoch_ms_p50", report.epochMsP50);
-        records.field("epoch_ms_p99", report.epochMsP99);
-        records.field("epoch_ms_p999", report.epochMsP999);
-        records.field("congestion", report.congestion);
-        records.field("lower_bound", report.lowerBound);
-        records.field("ratio", report.ratio);
-        records.field("replacements",
-                      static_cast<std::int64_t>(report.replacements));
-        records.field("replications",
-                      static_cast<std::int64_t>(report.replications));
-        records.field("invalidations",
-                      static_cast<std::int64_t>(report.invalidations));
-        records.field("cross_shard_bytes",
-                      static_cast<std::int64_t>(report.crossShardBytes));
-        records.field("bytes_per_request", report.bytesPerRequest);
-        records.field("seed", static_cast<std::int64_t>(seed));
-        records.writeFile(cli.jsonOut);
-        std::cout << "wrote " << cli.jsonOut << "\n";
-      }
-      return 0;
+      announce("");
+      static_cast<serve::ServeReport&>(report) = server.serve(*stream);
+      log = server.epochLog();
     }
-
-    serve::EpochServer server(rooted, numObjects, options);
-
-    if (restored) {
-      try {
-        server.restoreFrom(*restored);
-        serve::skipRequests(*stream, restored->servedTotal);
-      } catch (const serve::Error&) {
-        throw;
-      } catch (const std::exception& e) {
-        throw serve::Error(serve::Stage::Restore, restored->epochs, e.what());
-      }
-      std::cout << "restored from " << cli.restoreDir << ": epoch "
-                << restored->epochs << ", " << restored->servedTotal
-                << " requests already served\n";
-    }
-
-    std::cout << "serving "
-              << (cli.trace.empty() ? "stream '" + cli.stream + "'"
-                                    : "trace " + cli.trace)
-              << " over " << tree.processorCount() << " processors, "
-              << numObjects << " objects (policy=" << policySpec
-              << ", epoch=" << cli.epoch
-              << ", threads=" << options.threads << ", seed=" << seed
-              << ", drift=" << cli.drift
-              << ", pipeline=" << (cli.pipeline ? "on" : "off") << ")\n\n";
-
-    const serve::ServeReport report = server.serve(*stream);
 
     util::Table epochs({"epoch", "requests", "ms", "congestion",
                         "lower bound", "ratio", "re-placed", "degraded",
                         "ckpt"});
     // The log can run to thousands of epochs; print the first and last
     // few, eliding the middle.
-    const std::size_t logSize = server.epochLog().size();
-    for (std::size_t i = 0; i < logSize; ++i) {
-      if (logSize > 12 && i == 6) {
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (log.size() > 12 && i == 6) {
         epochs.addRow({"...", "...", "...", "...", "...", "...", "...",
                        "...", "..."});
       }
-      if (logSize > 12 && i >= 6 && i + 6 < logSize) continue;
-      const serve::EpochRecord& r = server.epochLog()[i];
+      if (log.size() > 12 && i >= 6 && i + 6 < log.size()) continue;
+      const serve::EpochRecord& r = log[i];
       epochs.addRow({std::to_string(r.index), std::to_string(r.requests),
                      util::formatDouble(r.wallMs, 1),
                      util::formatDouble(r.congestion, 1),
@@ -602,7 +484,13 @@ int main(int argc, char** argv) {
               << report.epochs << " epochs, "
               << util::formatDouble(report.wallMs, 1) << " ms ("
               << util::formatDouble(report.requestsPerSec / 1e6, 2)
-              << " M req/s)\n"
+              << " M req/s";
+    if (sharded) {
+      std::cout << " wall, "
+                << util::formatDouble(report.requestsPerSecCritical / 1e6, 2)
+                << " M req/s critical-path";
+    }
+    std::cout << ")\n"
               << "epoch latency p50/p99/p999: "
               << util::formatDouble(report.epochMsP50, 2) << " / "
               << util::formatDouble(report.epochMsP99, 2) << " / "
@@ -625,6 +513,24 @@ int main(int argc, char** argv) {
     if (options.faults && options.faults->triggered() > 0) {
       std::cout << options.faults->triggered() << " faults injected\n";
     }
+    if (sharded) {
+      util::Table shardsTable({"shard", "requests", "busy ms",
+                               "replications", "invalidations", "bytes in",
+                               "bytes out"});
+      for (const shard::ShardBreakdown& b : report.shards) {
+        shardsTable.addRow(
+            {std::to_string(b.shard), std::to_string(b.requests),
+             util::formatDouble(b.busyMs, 1), std::to_string(b.replications),
+             std::to_string(b.invalidations),
+             std::to_string(b.bytesToWorker),
+             std::to_string(b.bytesFromWorker)});
+      }
+      std::cout << "cross-shard traffic " << report.crossShardBytes
+                << " bytes ("
+                << util::formatDouble(report.bytesPerRequest, 1)
+                << " bytes/request)\n\n";
+      shardsTable.print(std::cout);
+    }
 
     if (!cli.jsonOut.empty()) {
       // Ratio fields may be +inf (positive congestion against a zero
@@ -632,11 +538,11 @@ int main(int argc, char** argv) {
       // parses null back to NaN, so emit→parse→emit of such records is
       // a fixed point (pinned by tests/serve_test.cpp).
       util::JsonRecords records;
-      for (const serve::EpochRecord& r : server.epochLog()) {
+      for (const serve::EpochRecord& r : log) {
         records.beginRecord();
         records.field("kind", "epoch");
-        records.field("epoch", static_cast<std::int64_t>(r.index));
-        records.field("requests", static_cast<std::int64_t>(r.requests));
+        records.field("epoch", r.index);
+        records.field("requests", r.requests);
         records.field("wall_ms", r.wallMs);
         records.field("congestion", r.congestion);
         records.field("lower_bound", r.lowerBound);
@@ -648,15 +554,27 @@ int main(int argc, char** argv) {
         records.field("degraded", r.degraded);
         records.field("checkpointed", r.checkpointed);
       }
+      for (const shard::ShardBreakdown& b : report.shards) {
+        records.beginRecord();
+        records.field("kind", "shard");
+        records.field("shard", b.shard);
+        records.field("requests", b.requests);
+        records.field("busy_ms", b.busyMs);
+        records.field("replications", b.replications);
+        records.field("invalidations", b.invalidations);
+        records.field("bytes_to_worker", b.bytesToWorker);
+        records.field("bytes_from_worker", b.bytesFromWorker);
+        for (const auto& [key, value] : b.policyMetrics) {
+          records.field(key, value);
+        }
+      }
       records.beginRecord();
       records.field("kind", "summary");
       records.field("policy", report.policy);
       records.field("pipeline", report.pipeline);
-      records.field("latency_sample",
-                    static_cast<std::int64_t>(cli.latencySample));
-      records.field("requests",
-                    static_cast<std::int64_t>(report.totalRequests));
-      records.field("epochs", static_cast<std::int64_t>(report.epochs));
+      records.field("latency_sample", cli.latencySample);
+      records.field("requests", report.totalRequests);
+      records.field("epochs", report.epochs);
       records.field("wall_ms", report.wallMs);
       records.field("requests_per_sec", report.requestsPerSec);
       records.field("epoch_ms_p50", report.epochMsP50);
@@ -665,26 +583,30 @@ int main(int argc, char** argv) {
       records.field("latency_ms_p50", report.latencyMsP50);
       records.field("latency_ms_p99", report.latencyMsP99);
       records.field("latency_ms_p999", report.latencyMsP999);
-      records.field("latency_samples",
-                    static_cast<std::int64_t>(report.latencySamples));
+      records.field("latency_samples", report.latencySamples);
       records.field("congestion", report.congestion);
       records.field("lower_bound", report.lowerBound);
       records.field("ratio", report.ratio);
-      records.field("replacements",
-                    static_cast<std::int64_t>(report.replacements));
-      records.field("replications",
-                    static_cast<std::int64_t>(report.replications));
-      records.field("invalidations",
-                    static_cast<std::int64_t>(report.invalidations));
-      records.field("degraded_epochs",
-                    static_cast<std::int64_t>(report.degradedEpochs));
-      records.field("handoff_retries",
-                    static_cast<std::int64_t>(report.handoffRetries));
-      records.field("checkpoints",
-                    static_cast<std::int64_t>(report.checkpoints));
-      records.field("seed", static_cast<std::int64_t>(seed));
+      records.field("replacements", report.replacements);
+      records.field("replications", report.replications);
+      records.field("invalidations", report.invalidations);
+      records.field("degraded_epochs", report.degradedEpochs);
+      records.field("handoff_retries", report.handoffRetries);
+      records.field("checkpoints", report.checkpoints);
+      records.field("seed", seed);
       records.field("threads", options.threads);
-      // The policy's own diagnostics, keys already "policy."-prefixed.
+      if (sharded) {
+        records.field("transport", report.transport);
+        records.field("partition", report.partition);
+        records.field("workers", report.workers);
+        records.field("critical_path_ms", report.criticalPathMs);
+        records.field("requests_per_sec_critical",
+                      report.requestsPerSecCritical);
+        records.field("cross_shard_bytes", report.crossShardBytes);
+        records.field("bytes_per_request", report.bytesPerRequest);
+      }
+      // The policy's own diagnostics, keys already "policy."-prefixed
+      // (per shard in the shard records when sharded).
       for (const auto& [key, value] : report.policyMetrics) {
         records.field(key, value);
       }
