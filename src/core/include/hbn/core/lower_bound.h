@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "hbn/core/load.h"
 #include "hbn/net/rooted.h"
@@ -88,16 +89,22 @@ class IncrementalLowerBound {
   /// Adds object x's contribution from its current row — call after
   /// mutating it.
   void add(workload::ObjectId x, const workload::Workload& load);
-  /// Folds one served epoch into `load` and refreshes the bound for
-  /// exactly the touched objects: remove() against the old rows,
-  /// aggregate `events` in arrival order, add() against the new rows.
-  /// `offsets` are the epoch's per-object bucket bounds (numObjects + 1
-  /// entries; x is touched iff offsets[x] != offsets[x + 1]). The
-  /// serving engines call this AFTER serving the epoch — the ordering
-  /// the HandoffPass row-stability contract depends on.
-  void absorbEpoch(std::span<const workload::RequestEvent> events,
-                   std::span<const std::size_t> offsets,
-                   workload::Workload& load);
+  /// Folds object x's share of one served epoch into `load` and the
+  /// bound's change into `delta`: subtracts x's contribution computed
+  /// from its current row, adds `events` (x's bucketed requests — every
+  /// event's object is x) to row x, and adds the new row's contribution.
+  /// Touches only row x, `delta` and `scratch` (|V| entries), so the
+  /// serve workers absorb their own objects concurrently, each into its
+  /// own |E| delta; mergeDelta() then folds the deltas in after the
+  /// join. The serving engine calls this for x AFTER serving x — the
+  /// ordering the HandoffPass row-stability contract depends on.
+  void absorbObject(workload::ObjectId x,
+                    std::span<const workload::RequestEvent> events,
+                    workload::Workload& load, LoadMap& delta,
+                    std::vector<Count>& scratch) const;
+  /// Adds per-object changes collected by absorbObject. Integer sums, so
+  /// any split of the objects over deltas gives the same bound.
+  void mergeDelta(const LoadMap& delta);
 
   /// The congestion lower bound of the tracked workload.
   [[nodiscard]] double congestion() const;
@@ -106,8 +113,9 @@ class IncrementalLowerBound {
   }
 
  private:
+  /// Adds sign × x's edge minima (from its current row) into `into`.
   void apply(workload::ObjectId x, const workload::Workload& load,
-             Count sign);
+             Count sign, LoadMap& into, std::vector<Count>& sub) const;
 
   const net::RootedTree* rooted_;
   LoadMap minima_;

@@ -53,40 +53,38 @@ IncrementalLowerBound::IncrementalLowerBound(const net::RootedTree& rooted)
 void IncrementalLowerBound::rebuild(const workload::Workload& load) {
   minima_.clear();
   for (workload::ObjectId x = 0; x < load.numObjects(); ++x) {
-    apply(x, load, 1);
+    apply(x, load, 1, minima_, sub_);
   }
 }
 
 void IncrementalLowerBound::remove(workload::ObjectId x,
                                    const workload::Workload& load) {
-  apply(x, load, -1);
+  apply(x, load, -1, minima_, sub_);
 }
 
 void IncrementalLowerBound::add(workload::ObjectId x,
                                 const workload::Workload& load) {
-  apply(x, load, 1);
+  apply(x, load, 1, minima_, sub_);
 }
 
-void IncrementalLowerBound::absorbEpoch(
-    std::span<const workload::RequestEvent> events,
-    std::span<const std::size_t> offsets, workload::Workload& load) {
-  const auto touched = [&](workload::ObjectId x) {
-    return offsets[static_cast<std::size_t>(x)] !=
-           offsets[static_cast<std::size_t>(x) + 1];
-  };
-  for (workload::ObjectId x = 0; x < load.numObjects(); ++x) {
-    if (touched(x)) remove(x, load);
-  }
+void IncrementalLowerBound::absorbObject(
+    workload::ObjectId x, std::span<const workload::RequestEvent> events,
+    workload::Workload& load, LoadMap& delta,
+    std::vector<Count>& scratch) const {
+  scratch.resize(sub_.size());
+  apply(x, load, -1, delta, scratch);
   for (const workload::RequestEvent& ev : events) {
     if (ev.isWrite) {
-      load.addWrites(ev.object, ev.origin, 1);
+      load.addWrites(x, ev.origin, 1);
     } else {
-      load.addReads(ev.object, ev.origin, 1);
+      load.addReads(x, ev.origin, 1);
     }
   }
-  for (workload::ObjectId x = 0; x < load.numObjects(); ++x) {
-    if (touched(x)) add(x, load);
-  }
+  apply(x, load, 1, delta, scratch);
+}
+
+void IncrementalLowerBound::mergeDelta(const LoadMap& delta) {
+  minima_.addEdgeLoads(delta.edgeLoads());
 }
 
 double IncrementalLowerBound::congestion() const {
@@ -94,8 +92,9 @@ double IncrementalLowerBound::congestion() const {
 }
 
 void IncrementalLowerBound::apply(workload::ObjectId x,
-                                  const workload::Workload& load,
-                                  Count sign) {
+                                  const workload::Workload& load, Count sign,
+                                  LoadMap& into,
+                                  std::vector<Count>& sub) const {
   // Per-object body of analyticLowerBound, signed: identical subtree
   // sums, identical min() operands, so add-after-remove reproduces the
   // full recomputation bit for bit.
@@ -104,24 +103,24 @@ void IncrementalLowerBound::apply(workload::ObjectId x,
   if (hx == 0) return;
   const Count kappa = load.objectWrites(x);
   for (net::NodeId v = 0; v < tree.nodeCount(); ++v) {
-    sub_[static_cast<std::size_t>(v)] = load.total(x, v);
+    sub[static_cast<std::size_t>(v)] = load.total(x, v);
   }
   const std::span<const net::NodeId> order = rooted_->preorder();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const net::NodeId v = *it;
     const net::NodeId p = rooted_->parent(v);
     if (p != net::kInvalidNode) {
-      sub_[static_cast<std::size_t>(p)] += sub_[static_cast<std::size_t>(v)];
+      sub[static_cast<std::size_t>(p)] += sub[static_cast<std::size_t>(v)];
     }
   }
   for (net::NodeId v = 0; v < tree.nodeCount(); ++v) {
     const net::NodeId p = rooted_->parent(v);
     if (p == net::kInvalidNode) continue;
-    const Count below = sub_[static_cast<std::size_t>(v)];
+    const Count below = sub[static_cast<std::size_t>(v)];
     const Count above = hx - below;
     const Count minLoad = std::min({below, above, kappa});
     if (minLoad > 0) {
-      minima_.addEdgeLoad(rooted_->parentEdge(v), sign * minLoad);
+      into.addEdgeLoad(rooted_->parentEdge(v), sign * minLoad);
     }
   }
 }

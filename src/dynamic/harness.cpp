@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 
 #include "hbn/core/lower_bound.h"
 
@@ -11,17 +12,32 @@ namespace hbn::dynamic {
 void bucketRequestsByObject(std::span<const Request> requests,
                             int numObjects,
                             std::span<std::size_t> offsets,
-                            std::span<Request> bucketed) {
+                            std::span<Request> bucketed,
+                            std::optional<int> numNodes) {
   if (offsets.size() != static_cast<std::size_t>(numObjects) + 1 ||
       bucketed.size() != requests.size()) {
     throw std::invalid_argument("bucketRequestsByObject: buffer sizes");
   }
   std::fill(offsets.begin(), offsets.end(), 0);
-  for (const Request& request : requests) {
-    if (request.object < 0 || request.object >= numObjects) {
-      throw std::out_of_range("bucketRequestsByObject: object id");
+  // One validating counting pass; the origin check is hoisted out of the
+  // loop when no bound was given.
+  const auto count = [&](auto checkOrigin) {
+    for (const Request& request : requests) {
+      if (request.object < 0 || request.object >= numObjects) {
+        throw std::out_of_range("request object out of range");
+      }
+      if constexpr (decltype(checkOrigin)::value) {
+        if (request.origin < 0 || request.origin >= *numNodes) {
+          throw std::out_of_range("request origin out of range");
+        }
+      }
+      ++offsets[static_cast<std::size_t>(request.object) + 1];
     }
-    ++offsets[static_cast<std::size_t>(request.object) + 1];
+  };
+  if (numNodes) {
+    count(std::true_type{});
+  } else {
+    count(std::false_type{});
   }
   for (std::size_t x = 0; x < static_cast<std::size_t>(numObjects); ++x) {
     offsets[x + 1] += offsets[x];

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,13 +38,17 @@ namespace hbn::dynamic {
 /// fills `offsets` so object x's run is
 /// bucketed[offsets[x], offsets[x+1]). `offsets` must have
 /// numObjects + 1 entries and `bucketed` requests.size() entries; every
-/// request's object id must lie in [0, numObjects). Allocation-free —
-/// shared by the epoch server's per-epoch sharding, the competitive
+/// request's object id must lie in [0, numObjects), and, when `numNodes`
+/// is given, its origin in [0, *numNodes) — else std::out_of_range
+/// ("request object out of range" / "request origin out of range"),
+/// checked in the same pass that counts the runs. Allocation-free —
+/// shared by the epoch ingest's validate + bucket step, the competitive
 /// harness, and the load-engine benchmark.
 void bucketRequestsByObject(std::span<const Request> requests,
                             int numObjects,
                             std::span<std::size_t> offsets,
-                            std::span<Request> bucketed);
+                            std::span<Request> bucketed,
+                            std::optional<int> numNodes = std::nullopt);
 
 /// Flattens a static workload into a uniformly shuffled request sequence.
 [[nodiscard]] std::vector<Request> sequenceFromWorkload(

@@ -66,12 +66,12 @@ namespace hbn::dynamic {
 ///     passed to beginHandoff.
 ///   - Snapshot stability is per ROW, not per matrix: the server only
 ///     queries target(x) while x's frequency row is still bit-equal to
-///     its trigger-time value (epochs aggregate after they serve, and a
-///     touched object applies its passes before new traffic lands in
-///     its row). A pass that reads only row x at target() time — the
-///     nibble pass — may therefore hold the server's live matrix with
-///     no copy at all; a pass that reads other rows later must freeze
-///     its own copy inside beginHandoff.
+///     its trigger-time value (x's worker task applies its passes, then
+///     serves x, then aggregates x's requests into its row). A pass
+///     that reads only row x at target() time — the nibble pass — may
+///     therefore hold the server's live matrix with no copy at all; a
+///     pass that reads other rows later must freeze its own copy inside
+///     beginHandoff (other workers aggregate those rows concurrently).
 class HandoffPass {
  public:
   virtual ~HandoffPass() = default;
@@ -86,7 +86,7 @@ class HandoffPass {
 /// OnlineTreeStrategy::serveShard — calls for distinct objects touch
 /// disjoint mutable state and only read shared immutable structure, so
 /// the epoch server may run them concurrently (one worker per object
-/// stripe, each with its own scratch, LoadMap, and accumulator) and the
+/// range, each with its own scratch, LoadMap, and accumulator) and the
 /// merged result is bit-identical for 1 vs N threads.
 class OnlinePolicy {
  public:

@@ -90,7 +90,7 @@ class OnlineTreeStrategy {
   /// copy-subtree state, accumulating load into the caller's `loads`
   /// instead of the strategy-owned map. Calls for distinct objects touch
   /// disjoint state and only read the shared tree, so the epoch server
-  /// may run them concurrently — one worker per object stripe, each with
+  /// may run them concurrently — one worker per object range, each with
   /// its own scratch and LoadMap.
   ///
   /// When `acc` is non-null and the shard is at least

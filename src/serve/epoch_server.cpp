@@ -101,6 +101,7 @@ void EpochServer::ensureWorkers() {
   const int count = core::resolveWorkerCount(options_.threads, numObjects_);
   workers_.reserve(static_cast<std::size_t>(count));
   for (int w = 0; w < count; ++w) workers_.emplace_back(*policy_, edgeCount);
+  cuts_.resize(static_cast<std::size_t>(count) + 1);
   stepLoads_ = core::LoadMap(edgeCount);
   stepMigration_ = core::LoadMap(edgeCount);
 }
@@ -122,6 +123,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   report.pipeline = options_.pipeline;
   report.epochBufferBytes = ingest.bufferBytes();
   util::Accumulator epochMs;
+  util::Accumulator imbalance;
   std::vector<double> epochLatency;
   util::Timer total;
 
@@ -143,6 +145,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     EpochRecord record;
     record.index = epochIndex;
     record.requests = batch->n;
+    record.workerImbalance = stepImbalance_;
     record.degraded = acquired.degraded;
     record.lowerBound = lowerBound_.congestion();
     record.congestion = loads_.congestion(tree);
@@ -193,6 +196,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     }
 
     epochMs.add(record.wallMs);
+    imbalance.add(record.workerImbalance);
     log_.push_back(record);
     ++report.epochs;
     report.totalRequests += batch->n;
@@ -221,6 +225,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   report.replacements = replacements_;
   report.replications = replications_;
   report.invalidations = invalidations_;
+  report.workerImbalance = imbalance.empty() ? 0.0 : imbalance.median();
   report.degradedEpochs = degradedEpochs_;
   report.handoffRetries = handoffRetriesUsed_;
   report.checkpoints = checkpointsWritten_;
@@ -233,82 +238,107 @@ const core::LoadMap& EpochServer::serveBatch(const EpochBatch& batch,
                                              std::uint64_t epoch) {
   ensureWorkers();
   util::FaultInjector* const faults = options_.faults.get();
-  const std::size_t n = batch.n;
 
-  // Stage 2: shard the epoch over the object range — whole objects
-  // per worker, per-worker loads/stats/scratch, no shared mutable
-  // state. A worker first applies any handoff passes its object has
-  // not migrated through yet (stage 3's lazy application; exclusive
-  // by striping), then serves the shard against the up-to-date copy
-  // configuration — so per-object state trajectories match barrier
-  // mode exactly.
+  // Stages 2 and 3: split the epoch's objects over the workers by
+  // work (request-weighted cuts from the CSR offsets — whole objects per
+  // worker, so a skewed epoch whose hot objects have the lowest ids
+  // still spreads evenly), with per-worker loads, stats,
+  // scratch and lower-bound delta; no shared mutable state. Each
+  // touched object's task runs, in order: any handoff passes it has
+  // not migrated through yet (lazy application; exclusive by the
+  // cuts), serveShard against the up-to-date copy configuration (owned
+  // objects only) — so per-object state trajectories match barrier
+  // mode exactly — and then the aggregation of its requests with its
+  // lower-bound refresh (every touched object, owned or not, so the
+  // frequency matrix and bound stay the unrestricted ones). Aggregating
+  // x only AFTER serving x is what lets handoff passes read the live
+  // matrix with zero copy: a pass applies to x on x's first touch after
+  // the trigger, and row x only mutates in x's own task — so at
+  // application time the row is bit-equal to its trigger-time value.
   for (Worker& worker : workers_) {
     worker.loads.clear();
     worker.migration.clear();
+    worker.boundDelta.clear();
     worker.stats = {};
     worker.requests = 0;
   }
   const std::uint64_t retired = passesBegun_ - pendingPasses_.size();
   const std::uint64_t targetVersion = passesBegun_;
-  core::parallelForObjects(
-      numObjects_, options_.threads, [&](ObjectId x, int index) {
-        // Injected worker failure: thrown as a structured Serve error,
-        // propagated deterministically by parallelForObjects (lowest
-        // stripe wins) and through serve() — the kill the checkpoint
-        // recovery tests restart from.
-        if (faults != nullptr &&
-            faults->fire(util::FaultKind::ShardThrow, epoch, index)) {
-          throw Error(Stage::Serve, epoch,
-                      "injected shard failure (worker " +
-                          std::to_string(index) + ")");
-        }
-        const std::size_t begin = batch.offsets[static_cast<std::size_t>(x)];
-        const std::size_t end = batch.offsets[static_cast<std::size_t>(x) + 1];
-        // Untouched objects keep their stale copy sets — they receive
-        // no traffic, so serving state cannot diverge from barrier
-        // mode, and deferring them is exactly what keeps the handoff
-        // lump out of the epochs (they migrate on a later touch or in
-        // the end-of-stream drain).
-        if (begin == end || !owns(x)) return;
-        Worker& worker = workers_[static_cast<std::size_t>(index)];
+  // A touched object's fixed work — absorbObject's two walks over the
+  // |V| tree nodes plus serveShard's per-call setup — weighs about |V|
+  // requests (on the adaptive policy the measured optimum is flat from
+  // |V| to 4|V|; the Zipf epochs start to lose at 4|V|).
+  core::requestWeightedCuts(
+      batch.offsets, static_cast<std::size_t>(rooted_->tree().nodeCount()),
+      cuts_);
+  core::parallelForRanges(cuts_, [&](ObjectId first, ObjectId last,
+                                     int index) {
+    // Injected worker failure, once per worker at the start of its
+    // range (empty or not): thrown as a structured Serve error,
+    // propagated deterministically by parallelForRanges (lowest worker
+    // wins) and through serve() — the kill the checkpoint recovery
+    // tests restart from.
+    if (faults != nullptr &&
+        faults->fire(util::FaultKind::ShardThrow, epoch, index)) {
+      throw Error(Stage::Serve, epoch,
+                  "injected shard failure (worker " + std::to_string(index) +
+                      ")");
+    }
+    Worker& worker = workers_[static_cast<std::size_t>(index)];
+    for (ObjectId x = first; x < last; ++x) {
+      const std::size_t begin = batch.offsets[static_cast<std::size_t>(x)];
+      const std::size_t end = batch.offsets[static_cast<std::size_t>(x) + 1];
+      // Untouched objects keep their stale copy sets — they receive no
+      // traffic, so serving state cannot diverge from barrier mode, and
+      // deferring them is exactly what keeps the handoff lump out of
+      // the epochs (they migrate on a later touch or in the
+      // end-of-stream drain).
+      if (begin == end) continue;
+      const std::span<const RequestEvent> events(batch.bucketed.data() + begin,
+                                                 end - begin);
+      if (owns(x)) {
         if (appliedVersion_[static_cast<std::size_t>(x)] < targetVersion) {
           applyPendingMigrations(x, index, worker, retired, targetVersion);
         }
         const dynamic::ShardStats stats = policy_->serveShard(
-            x, std::span<const RequestEvent>(batch.bucketed.data() + begin,
-                                             end - begin),
-            worker.loads, worker.scratch, &worker.acc);
+            x, events, worker.loads, worker.scratch, &worker.acc);
         worker.stats.replications += stats.replications;
         worker.stats.invalidations += stats.invalidations;
         worker.requests += end - begin;
-      });
+      }
+      lowerBound_.absorbObject(x, events, aggregated_, worker.boundDelta,
+                               worker.boundScratch);
+    }
+  });
 
-  // Deterministic merge: integer edge loads and counters sum the same
-  // for any worker count. Serve traffic feeds the total, the
-  // serve-only map (the drift trigger's input) and the step delta;
-  // migration traffic feeds the total only.
+  // Deterministic merge: integer edge loads, bound minima and counters
+  // sum the same for any worker count and any cuts. Serve traffic feeds
+  // the total, the serve-only map (the drift trigger's input) and the
+  // step delta; migration traffic feeds the total only. The lower bound
+  // after epoch k still sees the traffic of epochs <= k, exactly as the
+  // barrier engine did.
   stepLoads_.clear();
+  std::uint64_t maxRequests = 0;
+  std::uint64_t stepRequests = 0;
   for (const Worker& worker : workers_) {
     for (core::LoadMap* map : {&loads_, &serveLoads_, &stepLoads_}) {
       map->addEdgeLoads(worker.loads.edgeLoads());
     }
     loads_.addEdgeLoads(worker.migration.edgeLoads());
+    lowerBound_.mergeDelta(worker.boundDelta);
     replications_ += worker.stats.replications;
     invalidations_ += worker.stats.invalidations;
-    ownedRequests_ += worker.requests;
+    maxRequests = std::max(maxRequests, worker.requests);
+    stepRequests += worker.requests;
   }
-  // Aggregate the epoch's frequencies AFTER serving it — every event,
-  // owned or not. The ordering is what lets handoff passes read the
-  // live matrix with zero copy: a pass applies to object x on x's
-  // first touch after the trigger, and x's row only mutates when x is
-  // touched — so at application time (before this epoch's aggregation)
-  // the row is bit-equal to its trigger-time value. The lower bound
-  // after epoch k still sees the traffic of epochs <= k, exactly as
-  // the barrier engine did.
-  lowerBound_.absorbEpoch(std::span<const RequestEvent>(batch.raw.data(), n),
-                          batch.offsets, aggregated_);
+  ownedRequests_ += stepRequests;
+  stepImbalance_ = stepRequests == 0
+                       ? 1.0
+                       : static_cast<double>(maxRequests) *
+                             static_cast<double>(workers_.size()) /
+                             static_cast<double>(stepRequests);
 
-  servedTotal_ += n;
+  servedTotal_ += batch.n;
   retireAppliedPasses();
   return stepLoads_;
 }
@@ -405,7 +435,7 @@ const core::LoadMap& EpochServer::drainAllPasses() {
 }
 
 void EpochServer::retireAppliedPasses() {
-  // Serve thread, between epochs: parallelForObjects has joined every
+  // Serve thread, between epochs: the worker region has joined every
   // worker, so no worker can still be reading a pass popped here.
   while (!pendingPasses_.empty() &&
          pendingPasses_.front()->applied.load(std::memory_order_relaxed) ==
@@ -505,7 +535,7 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
   checkpointsWritten_ = data.checkpointsWritten;
   drift_.serveCongestionMark = data.serveCongestionMark;
   drift_.lowerBoundMark = data.lowerBoundMark;
-  // The one place aggregated_ changes other than absorbEpoch: bring the
+  // The one place aggregated_ changes other than absorbObject: bring the
   // incrementally maintained bound up to the restored matrix.
   lowerBound_.rebuild(aggregated_);
 }

@@ -7,11 +7,15 @@
 //            dedicated thread (EpochIngest, double-buffered) while
 //            epoch N is being served — bucketing cost leaves the
 //            critical path.
-//   serve    the epoch is sharded across the object range by a worker
-//            pool: every worker serves whole objects through
+//   serve    the epoch's objects are split over the worker threads by
+//            work (contiguous request-weighted cuts of the object
+//            range: requests plus a fixed cost per touched object):
+//            every worker serves whole objects through
 //            OnlinePolicy::serveShard with its own scratch and LoadMap,
-//            so the hot path performs no synchronisation and the merged
-//            result — integer edge loads, replication counts, copy
+//            then aggregates each object's requests and refreshes its
+//            share of the lower bound into its own delta, so the hot
+//            path performs no synchronisation and the merged result —
+//            integer edge loads, bound minima, replication counts, copy
 //            sets — is bit-identical for 1 vs N threads.
 //   re-place the paper's §4 dynamic-to-static handoff runs without
 //            stopping the world: when realised serve congestion drifts
@@ -155,6 +159,11 @@ struct EpochRecord {
   double latencyMsP50 = 0.0;
   double latencyMsP99 = 0.0;
   double latencyMsP999 = 0.0;
+  /// Serve-worker request imbalance: max / mean requests served per
+  /// worker this epoch (1 = perfectly balanced, also with one worker or
+  /// no requests). Deterministic for a given stream and thread count;
+  /// 0 in sharded runs, whose workers do not report it.
+  double workerImbalance = 0.0;
   bool replaced = false;
   /// The stall watchdog fired and the serve thread assembled this epoch
   /// inline (barrier-engine fallback; contents still bit-identical).
@@ -197,6 +206,8 @@ struct ServeReport {
   std::uint64_t replacements = 0;
   core::Count replications = 0;
   core::Count invalidations = 0;
+  /// Median over the run's epochs of EpochRecord::workerImbalance.
+  double workerImbalance = 0.0;
   /// Bytes of per-request buffering the server ever holds at once —
   /// proportional to the epoch (× the two pipeline slots), never to
   /// the stream.
@@ -243,8 +254,11 @@ class EpochServer {
   /// sets and loads observed between calls match barrier mode.
   ServeReport serve(RequestStream& stream);
 
-  /// One epoch step: serves `batch` over the owned objects (stage 2),
-  /// merges, aggregates every event and retires applied passes.
+  /// One epoch step: splits `batch`'s objects over the workers by
+  /// work (requests plus a fixed cost per touched object); each worker
+  /// serves its owned objects (stage 2) and
+  /// aggregates every event of its objects; then merges and retires
+  /// applied passes.
   /// Returns the epoch's serve + update loads, valid until the next
   /// step. `epoch` is the absolute index faults and errors name.
   const core::LoadMap& serveBatch(const EpochBatch& batch,
@@ -318,9 +332,16 @@ class EpochServer {
   /// workers write their own state concurrently.
   struct alignas(64) Worker {
     explicit Worker(const dynamic::OnlinePolicy& policy, int edgeCount)
-        : loads(edgeCount), migration(edgeCount), acc(policy.flatView()) {}
+        : loads(edgeCount),
+          migration(edgeCount),
+          boundDelta(edgeCount),
+          acc(policy.flatView()) {}
     core::LoadMap loads;
     core::LoadMap migration;
+    /// This epoch's change to the lower bound's edge minima
+    /// (IncrementalLowerBound::absorbObject), merged after the join.
+    core::LoadMap boundDelta;
+    std::vector<core::Count> boundScratch;
     dynamic::ShardStats stats;
     std::uint64_t requests = 0;
     dynamic::ServeScratch scratch;
@@ -340,7 +361,7 @@ class EpochServer {
   void beginPass(std::uint64_t epoch);
   /// Applies every pass still pending for `x` up to `targetVersion`,
   /// charging migration traffic into `worker`'s migration loads. Called
-  /// from workers (object striping makes x exclusive). `retired` counts
+  /// from workers (the cuts make x exclusive). `retired` counts
   /// the passes already popped, read on the serve thread before the
   /// region: pendingPasses_[i] is pass version retired + i + 1.
   void applyPendingMigrations(ObjectId x, int index, Worker& worker,
@@ -372,6 +393,8 @@ class EpochServer {
   /// for the touched objects only — O(touched · |V|) instead of a full
   /// O(|X| · |V|) recomputation, which dominated per-epoch cost (and
   /// with it the pipelined queueing latency) at large object counts.
+  /// The serve workers refresh it per object (absorbObject into their
+  /// own deltas) inside the worker region.
   core::IncrementalLowerBound lowerBound_;
   core::LoadMap loads_;
   /// Serve + update traffic only (no migration): the drift trigger's
@@ -388,8 +411,11 @@ class EpochServer {
   core::Count replications_ = 0;
   core::Count invalidations_ = 0;
   std::uint64_t replacements_ = 0;
-  /// Per-worker state and the last step's merged deltas.
+  /// Per-worker state, the last step's object cuts (workers + 1
+  /// entries), its merged deltas and its worker request imbalance.
   std::vector<Worker> workers_;
+  std::vector<ObjectId> cuts_;
+  double stepImbalance_ = 1.0;
   core::LoadMap stepLoads_{0};
   core::LoadMap stepMigration_{0};
   /// The §4 drift trigger (marks at the last re-placement plus the
@@ -398,8 +424,9 @@ class EpochServer {
   DriftTrigger drift_;
   /// Lazy handoff machinery: pending passes in creation order and
   /// per-object applied-pass counts. Workers read pendingPasses_; only
-  /// the serve thread mutates it, between parallelForObjects regions
-  /// (whose join orders every read before the next mutation).
+  /// the serve thread mutates it, between worker regions
+  /// (core::parallelForRanges, whose join orders every read before the
+  /// next mutation).
   std::deque<std::unique_ptr<PassState>> pendingPasses_;
   std::vector<std::uint64_t> appliedVersion_;
   std::uint64_t passesBegun_ = 0;

@@ -72,8 +72,8 @@ struct EpochBatch {
   /// Validates raw[0, n) — every object in [0, numObjects), every
   /// origin in [0, numNodes), else std::out_of_range — and buckets it
   /// stably by object into `bucketed`/`offsets` (growing them if
-  /// needed). The one validate + bucket step of the ingest and the
-  /// shard worker.
+  /// needed); validation rides on bucketing's counting pass. The one
+  /// validate + bucket step of the ingest and the shard worker.
   void bucket(int numObjects, int numNodes);
 };
 

@@ -2,14 +2,14 @@
 //
 // A RequestStream hands out RequestEvents in batches of at most one
 // epoch, so streams of tens of millions of requests are served without
-// ever materialising in memory: the generator-backed source synthesises
-// events on demand, the trace-backed source reads its file
-// incrementally, and the in-memory source exists for tests.
+// ever materialising in memory: the generator-backed source
+// (makeGeneratedStream) synthesises events on demand, the trace-backed
+// source reads its file incrementally, and the in-memory source exists
+// for tests.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -40,32 +40,6 @@ class RequestStream {
   /// Throws std::runtime_error when the stream ends before `count`
   /// events (a checkpoint claiming more progress than the stream holds).
   virtual void skip(std::uint64_t count);
-};
-
-/// Bounded stream drawing from a generator function (e.g. one of the
-/// workload stream generators); O(1) memory regardless of `total`.
-///
-/// When the underlying generator supports seeking, pass its seek
-/// callback: skip(count) then repositions the generator in
-/// O(workload::kStreamReseedBlock) instead of replaying `count` events
-/// — the difference between a multi-second and a sub-millisecond
-/// checkpoint restore on hundred-million-request streams.
-class GeneratorStream final : public RequestStream {
- public:
-  GeneratorStream(std::function<RequestEvent()> generator,
-                  std::uint64_t total);
-  GeneratorStream(std::function<RequestEvent()> generator,
-                  std::uint64_t total,
-                  std::function<void(std::uint64_t)> seek);
-
-  [[nodiscard]] std::size_t fill(std::span<RequestEvent> out) override;
-  void skip(std::uint64_t count) override;
-
- private:
-  std::function<RequestEvent()> generator_;
-  std::uint64_t remaining_;
-  std::uint64_t consumed_ = 0;  ///< events handed out or skipped so far
-  std::function<void(std::uint64_t)> seek_;  ///< may be empty
 };
 
 /// Trace-file-backed stream (hbn-trace v1), read incrementally.
@@ -102,8 +76,14 @@ class VectorStream final : public RequestStream {
 };
 
 /// Builds a bounded stream over one of the named workload stream
-/// generators: "skewed", "bursty", or "diurnal". Throws
-/// std::invalid_argument for unknown names.
+/// generators: "skewed", "bursty", "diurnal" or "phase-shift"; O(1)
+/// memory regardless of `total`. The stream is templated on the
+/// generator, so fill() is one direct generate() call per batch, and
+/// skip() seeks the generator in O(workload::kStreamReseedBlock)
+/// instead of replaying the skipped events — the difference between a
+/// multi-second and a sub-millisecond checkpoint restore on
+/// hundred-million-request streams. Throws std::invalid_argument for
+/// unknown names.
 [[nodiscard]] std::unique_ptr<RequestStream> makeGeneratedStream(
     const std::string& name, const net::Tree& tree,
     const workload::StreamParams& params, std::uint64_t seed,

@@ -28,19 +28,11 @@ std::uint64_t EpochBatch::bufferBytes() const noexcept {
 }
 
 void EpochBatch::bucket(int numObjects, int numNodes) {
-  const std::span<const RequestEvent> events(raw.data(), n);
-  for (const RequestEvent& ev : events) {
-    if (ev.object < 0 || ev.object >= numObjects) {
-      throw std::out_of_range("request object out of range");
-    }
-    if (ev.origin < 0 || ev.origin >= numNodes) {
-      throw std::out_of_range("request origin out of range");
-    }
-  }
   if (bucketed.size() < n) bucketed.resize(n);
   offsets.resize(static_cast<std::size_t>(numObjects) + 1);
-  dynamic::bucketRequestsByObject(events, numObjects, offsets,
-                                  std::span<RequestEvent>(bucketed.data(), n));
+  dynamic::bucketRequestsByObject(
+      std::span<const RequestEvent>(raw.data(), n), numObjects, offsets,
+      std::span<RequestEvent>(bucketed.data(), n), numNodes);
 }
 
 EpochIngest::EpochIngest(RequestStream& stream, const net::Tree& tree,

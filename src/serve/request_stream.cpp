@@ -31,42 +31,6 @@ void RequestStream::skip(std::uint64_t count) {
   }
 }
 
-GeneratorStream::GeneratorStream(std::function<RequestEvent()> generator,
-                                 std::uint64_t total)
-    : GeneratorStream(std::move(generator), total, nullptr) {}
-
-GeneratorStream::GeneratorStream(std::function<RequestEvent()> generator,
-                                 std::uint64_t total,
-                                 std::function<void(std::uint64_t)> seek)
-    : generator_(std::move(generator)),
-      remaining_(total),
-      seek_(std::move(seek)) {
-  if (!generator_) {
-    throw std::invalid_argument("GeneratorStream: null generator");
-  }
-}
-
-std::size_t GeneratorStream::fill(std::span<RequestEvent> out) {
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(remaining_, out.size()));
-  for (std::size_t i = 0; i < n; ++i) out[i] = generator_();
-  remaining_ -= n;
-  consumed_ += n;
-  return n;
-}
-
-void GeneratorStream::skip(std::uint64_t count) {
-  if (!seek_) {
-    RequestStream::skip(count);
-    consumed_ += count;
-    return;
-  }
-  if (count > remaining_) throwExhausted(remaining_, count);
-  consumed_ += count;
-  remaining_ -= count;
-  seek_(consumed_);
-}
-
 TraceFileStream::TraceFileStream(const std::string& path) : in_(path) {
   if (!in_) {
     throw std::runtime_error("cannot open trace " + path);
@@ -95,15 +59,42 @@ void skipRequests(RequestStream& stream, std::uint64_t count) {
 
 namespace {
 
+/// A bounded stream over one seekable workload stream generator.
 template <typename Generator>
-std::unique_ptr<RequestStream> wrapSeekable(const net::Tree& tree,
-                                            const workload::StreamParams& params,
-                                            std::uint64_t seed,
-                                            std::uint64_t total) {
-  auto gen = std::make_shared<Generator>(tree, params, seed);
-  return std::make_unique<GeneratorStream>(
-      [gen] { return gen->next(); }, total,
-      [gen](std::uint64_t position) { gen->seek(position); });
+class GeneratedStream final : public RequestStream {
+ public:
+  GeneratedStream(Generator generator, std::uint64_t total)
+      : generator_(std::move(generator)), remaining_(total) {}
+
+  [[nodiscard]] std::size_t fill(std::span<RequestEvent> out) override {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(remaining_, out.size()));
+    generator_.generate(out.first(n));
+    remaining_ -= n;
+    consumed_ += n;
+    return n;
+  }
+
+  void skip(std::uint64_t count) override {
+    if (count > remaining_) throwExhausted(remaining_, count);
+    consumed_ += count;
+    remaining_ -= count;
+    generator_.seek(consumed_);
+  }
+
+ private:
+  Generator generator_;
+  std::uint64_t remaining_;
+  std::uint64_t consumed_ = 0;  ///< events handed out or skipped so far
+};
+
+template <typename Generator>
+std::unique_ptr<RequestStream> makeStream(const net::Tree& tree,
+                                          const workload::StreamParams& params,
+                                          std::uint64_t seed,
+                                          std::uint64_t total) {
+  return std::make_unique<GeneratedStream<Generator>>(
+      Generator(tree, params, seed), total);
 }
 
 }  // namespace
@@ -113,16 +104,16 @@ std::unique_ptr<RequestStream> makeGeneratedStream(
     const workload::StreamParams& params, std::uint64_t seed,
     std::uint64_t total) {
   if (name == "skewed") {
-    return wrapSeekable<workload::SkewedStream>(tree, params, seed, total);
+    return makeStream<workload::SkewedStream>(tree, params, seed, total);
   }
   if (name == "bursty") {
-    return wrapSeekable<workload::BurstyStream>(tree, params, seed, total);
+    return makeStream<workload::BurstyStream>(tree, params, seed, total);
   }
   if (name == "diurnal") {
-    return wrapSeekable<workload::DiurnalStream>(tree, params, seed, total);
+    return makeStream<workload::DiurnalStream>(tree, params, seed, total);
   }
   if (name == "phase-shift") {
-    return wrapSeekable<workload::PhaseShiftStream>(tree, params, seed,
+    return makeStream<workload::PhaseShiftStream>(tree, params, seed,
                                                     total);
   }
   throw std::invalid_argument(

@@ -22,8 +22,9 @@ namespace {
 /// and make the metric meaningless on small machines. The thread clock
 /// counts only cycles this worker spent. Exact while the shard serves
 /// on the transport thread (threads <= 1, the benchmark shape); with
-/// worker-internal serve threads the stripes bill their own clocks and
-/// busyMs undercounts — the honest wall clock is reported alongside.
+/// worker-internal serve threads every range but the first bills its
+/// own thread's clock and busyMs undercounts — the honest wall clock is
+/// reported alongside.
 double threadCpuMs() {
   timespec ts{};
   ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);

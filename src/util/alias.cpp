@@ -27,14 +27,13 @@ AliasTable::AliasTable(std::span<const double> weights) {
   // Vose's stable partition: buckets scaled so the mean lands at 1; each
   // underfull bucket is topped up by exactly one overfull donor, which
   // becomes its alias.
-  accept_.assign(n, 1.0);
-  alias_.resize(n);
+  buckets_.assign(n, Bucket{});
   std::vector<double> scaled(n);
   std::vector<std::uint32_t> small;
   std::vector<std::uint32_t> large;
   for (std::size_t i = 0; i < n; ++i) {
     scaled[i] = weights[i] * static_cast<double>(n) / total;
-    alias_[i] = static_cast<std::uint32_t>(i);
+    buckets_[i].alias = static_cast<std::uint32_t>(i);
     (scaled[i] < 1.0 ? small : large).push_back(
         static_cast<std::uint32_t>(i));
   }
@@ -42,8 +41,8 @@ AliasTable::AliasTable(std::span<const double> weights) {
     const std::uint32_t s = small.back();
     small.pop_back();
     const std::uint32_t l = large.back();
-    accept_[s] = scaled[s];
-    alias_[s] = l;
+    buckets_[s].accept = scaled[s];
+    buckets_[s].alias = l;
     scaled[l] -= 1.0 - scaled[s];
     if (scaled[l] < 1.0) {
       large.pop_back();
@@ -51,8 +50,8 @@ AliasTable::AliasTable(std::span<const double> weights) {
     }
   }
   // Numerical leftovers on either stack saturate to probability 1.
-  for (const std::uint32_t i : small) accept_[i] = 1.0;
-  for (const std::uint32_t i : large) accept_[i] = 1.0;
+  for (const std::uint32_t i : small) buckets_[i].accept = 1.0;
+  for (const std::uint32_t i : large) buckets_[i].accept = 1.0;
 }
 
 }  // namespace hbn::util

@@ -24,21 +24,28 @@ class AliasTable {
  public:
   explicit AliasTable(std::span<const double> weights);
 
-  [[nodiscard]] std::size_t size() const noexcept { return accept_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return buckets_.size(); }
 
   /// Draws an index in [0, size()) with probability proportional to its
-  /// weight: O(1) — one bounded draw to pick a bucket, one Bernoulli
-  /// draw to accept it or take its alias.
+  /// weight: O(1) — one bounded draw to pick a bucket, one uniform draw
+  /// to accept it or take its alias. The accept/alias choice indexes a
+  /// pair rather than branching: on skewed weights that branch is a coin
+  /// flip the predictor cannot learn.
   [[nodiscard]] std::size_t sample(Rng& rng) const {
-    const auto bucket = static_cast<std::size_t>(
-        rng.nextBelow(static_cast<std::uint64_t>(accept_.size())));
-    return rng.nextDouble() < accept_[bucket] ? bucket
-                                              : alias_[bucket];
+    const auto index = static_cast<std::uint32_t>(
+        rng.nextBelow(static_cast<std::uint64_t>(buckets_.size())));
+    const Bucket& bucket = buckets_[index];
+    const std::uint32_t choice[2] = {bucket.alias, index};
+    return choice[rng.nextDouble() < bucket.accept];
   }
 
  private:
-  std::vector<double> accept_;         ///< acceptance probability per bucket
-  std::vector<std::uint32_t> alias_;   ///< fallback index per bucket
+  /// One bucket's row, kept together so a draw touches one cache line.
+  struct Bucket {
+    double accept = 1.0;      ///< acceptance probability
+    std::uint32_t alias = 0;  ///< fallback index
+  };
+  std::vector<Bucket> buckets_;
 };
 
 }  // namespace hbn::util

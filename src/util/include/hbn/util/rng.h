@@ -25,6 +25,9 @@ namespace hbn::util {
 [[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
 /// xoshiro256** pseudo-random generator with convenience draw methods.
+/// The per-draw methods are inline: the stream generators call them
+/// several times per request, and an out-of-line call each time was most
+/// of the generation cost.
 ///
 /// Satisfies the C++ UniformRandomBitGenerator concept, so it can also be
 /// handed to <random> distributions when cross-platform reproducibility of
@@ -42,21 +45,53 @@ class Rng {
   }
 
   /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be positive.
   /// Uses Lemire-style rejection to avoid modulo bias.
-  [[nodiscard]] std::uint64_t nextBelow(std::uint64_t bound) noexcept;
+  [[nodiscard]] std::uint64_t nextBelow(std::uint64_t bound) noexcept {
+    // Lemire's nearly-divisionless bounded draw with rejection.
+    if (bound == 0) return 0;
+    std::uint64_t x = (*this)();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (low < threshold) {
+        x = (*this)();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   [[nodiscard]] std::int64_t nextInRange(std::int64_t lo,
                                          std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double nextDouble() noexcept;
+  [[nodiscard]] double nextDouble() noexcept {
+    // 53 high-quality bits -> [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli draw with success probability `p` (clamped to [0,1]).
-  [[nodiscard]] bool nextBool(double p = 0.5) noexcept;
+  [[nodiscard]] bool nextBool(double p = 0.5) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return nextDouble() < p;
+  }
 
   /// Samples an index in [0, weights.size()) proportionally to `weights`.
   /// All weights must be non-negative with a positive sum.
@@ -77,6 +112,10 @@ class Rng {
   [[nodiscard]] Rng split() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

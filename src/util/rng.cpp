@@ -3,13 +3,6 @@
 #include <cmath>
 
 namespace hbn::util {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
@@ -30,50 +23,10 @@ Rng::Rng(std::uint64_t seed) noexcept {
   }
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::nextBelow(std::uint64_t bound) noexcept {
-  // Lemire's nearly-divisionless bounded draw with rejection.
-  if (bound == 0) return 0;
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t Rng::nextInRange(std::int64_t lo, std::int64_t hi) noexcept {
   const auto width =
       static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   return lo + static_cast<std::int64_t>(nextBelow(width));
-}
-
-double Rng::nextDouble() noexcept {
-  // 53 high-quality bits -> [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::nextBool(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return nextDouble() < p;
 }
 
 std::size_t Rng::nextWeighted(std::span<const double> weights) noexcept {

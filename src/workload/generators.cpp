@@ -282,6 +282,10 @@ RequestEvent SkewedStream::next() {
   return RequestEvent{rank, origin, !rng_.nextBool(readFraction_)};
 }
 
+void SkewedStream::generate(std::span<RequestEvent> out) {
+  for (RequestEvent& event : out) event = next();
+}
+
 void SkewedStream::seek(std::uint64_t position) {
   seekStream(*this, position_, position);
 }
@@ -315,6 +319,10 @@ RequestEvent BurstyStream::next() {
   --remaining_;
   return RequestEvent{burstObject_, burstOrigin_,
                       !rng_.nextBool(readFraction_)};
+}
+
+void BurstyStream::generate(std::span<RequestEvent> out) {
+  for (RequestEvent& event : out) event = next();
 }
 
 void BurstyStream::seek(std::uint64_t position) {
@@ -369,6 +377,10 @@ RequestEvent DiurnalStream::next() {
   return RequestEvent{object, origin, !rng_.nextBool(readFraction_)};
 }
 
+void DiurnalStream::generate(std::span<RequestEvent> out) {
+  for (RequestEvent& event : out) event = next();
+}
+
 void DiurnalStream::seek(std::uint64_t position) {
   seekStream(*this, position_, position);
 }
@@ -417,6 +429,10 @@ RequestEvent PhaseShiftStream::next() {
   const net::NodeId origin = procs_[static_cast<std::size_t>(
       rng_.nextBelow(static_cast<std::uint64_t>(procs_.size())))];
   return RequestEvent{object, origin, !rng_.nextBool(readFraction)};
+}
+
+void PhaseShiftStream::generate(std::span<RequestEvent> out) {
+  for (RequestEvent& event : out) event = next();
 }
 
 void PhaseShiftStream::seek(std::uint64_t position) {

@@ -18,6 +18,7 @@
 // a read with that probability, a write otherwise.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "hbn/net/tree.h"
@@ -101,7 +102,9 @@ struct GenParams {
 // produce an *online* stream of individual RequestEvents, one at a time,
 // so request sequences of arbitrary length never materialise in memory.
 // Each generator is deterministic from its seed; the serve layer wraps
-// them into pull-based RequestStreams.
+// them into pull-based RequestStreams, which fill through generate():
+// a loop over next() compiled in the generator's own translation unit,
+// so the per-event draw inlines instead of costing a call per request.
 // ---------------------------------------------------------------------------
 
 /// Knobs shared by the stream generators.
@@ -145,6 +148,9 @@ class SkewedStream {
   SkewedStream(const net::Tree& tree, const StreamParams& params,
                std::uint64_t seed);
   [[nodiscard]] RequestEvent next();
+  /// Fills `out` with the next out.size() events — exactly the events
+  /// that many next() calls would return.
+  void generate(std::span<RequestEvent> out);
   /// Repositions the stream so the next next() returns the event at
   /// 0-based `position` — O(kStreamReseedBlock), not O(position).
   void seek(std::uint64_t position);
@@ -167,6 +173,8 @@ class BurstyStream {
   BurstyStream(const net::Tree& tree, const StreamParams& params,
                std::uint64_t seed);
   [[nodiscard]] RequestEvent next();
+  /// See SkewedStream::generate.
+  void generate(std::span<RequestEvent> out);
   /// See SkewedStream::seek. Bursts never span re-seed blocks, so
   /// replaying from the block start reproduces the burst state exactly.
   void seek(std::uint64_t position);
@@ -194,6 +202,8 @@ class DiurnalStream {
   DiurnalStream(const net::Tree& tree, const StreamParams& params,
                 std::uint64_t seed);
   [[nodiscard]] RequestEvent next();
+  /// See SkewedStream::generate.
+  void generate(std::span<RequestEvent> out);
   /// See SkewedStream::seek. The time-of-day phase is derived from the
   /// stream position, so seeking lands on the right hot region.
   void seek(std::uint64_t position);
@@ -241,6 +251,8 @@ class PhaseShiftStream {
   PhaseShiftStream(const net::Tree& tree, const StreamParams& params,
                    std::uint64_t seed);
   [[nodiscard]] RequestEvent next();
+  /// See SkewedStream::generate.
+  void generate(std::span<RequestEvent> out);
   /// See SkewedStream::seek. Regime schedule is position arithmetic;
   /// bursts span neither regime nor re-seed-block boundaries.
   void seek(std::uint64_t position);

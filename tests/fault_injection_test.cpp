@@ -263,6 +263,37 @@ TEST(FaultInjectionTest, ShardThrowPropagatesAndTearsDownCleanly) {
   EXPECT_EQ(after.report.totalRequests, kRequests);
 }
 
+// Request-weighted cuts can leave a worker's range empty (here every
+// request hits one object, so with three workers worker 1 owns no
+// object at all); the injected shard throw still fires on that worker,
+// once, at the start of its range.
+TEST(FaultInjectionTest, ShardThrowFiresOnAnEmptyRange) {
+  const net::Tree tree = net::makeClusterNetwork(3, 4);
+  const net::RootedTree rooted(tree, tree.defaultRoot());
+  std::vector<workload::RequestEvent> events(3 * kEpochSize);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i] = workload::RequestEvent{
+        5, tree.processors()[i % tree.processors().size()], i % 7 == 0};
+  }
+  for (const bool pipeline : {false, true}) {
+    SCOPED_TRACE(pipeline ? "pipelined" : "barrier");
+    ServeOptions options = makeOptions(3, pipeline);
+    options.faults = util::makeFaultInjector("shard-throw@epoch1:shard1");
+    EpochServer server(rooted, kObjects, options);
+    VectorStream stream({events.begin(), events.end()});
+    try {
+      (void)server.serve(stream);
+      FAIL() << "injected shard throw on an empty range did not surface";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.stage(), Stage::Serve);
+      EXPECT_EQ(e.epoch(), 1u);
+      EXPECT_NE(std::string(e.what()).find("worker 1"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(options.faults->triggered(), 1u);
+  }
+}
+
 // A stream failure (out-of-range object) is attributed to the ingest
 // stage in both engines, not swallowed or left as a bare exception.
 TEST(FaultInjectionTest, StreamFailureSurfacesAsIngestError) {

@@ -2,6 +2,7 @@
 // bound from the τ_max analysis and its validity against the exact
 // optimum.
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,8 +10,10 @@
 #include "hbn/baseline/exact.h"
 #include "hbn/core/extended_nibble.h"
 #include "hbn/core/lower_bound.h"
+#include "hbn/core/parallel.h"
 #include "hbn/net/generators.h"
 #include "hbn/util/rng.h"
+#include "hbn/dynamic/harness.h"
 #include "hbn/workload/generators.h"
 
 namespace hbn::core {
@@ -168,6 +171,69 @@ TEST(IncrementalLowerBound, MatchesFullRecomputationUnderRowUpdates) {
   IncrementalLowerBound rebuilt(rooted);
   rebuilt.rebuild(load);
   EXPECT_DOUBLE_EQ(rebuilt.congestion(), incremental.congestion());
+}
+
+TEST(IncrementalLowerBound, ObjectAbsorptionOnTwoThreadsMatchesFullBound) {
+  // The epoch server's split aggregation: each epoch is bucketed by
+  // object, cut at arbitrary points into two ranges, and every object of
+  // a range is absorbed by that range's thread into its own delta; the
+  // deltas merge after the join. After every epoch the bound must equal
+  // a from-scratch analyticLowerBound of the aggregated matrix.
+  util::Rng rng(4242);
+  const Tree t = net::makeClusterNetwork(3, 4);
+  const net::RootedTree rooted(t, t.defaultRoot());
+  constexpr int kObjects = 40;
+  workload::Workload load(kObjects, t.nodeCount());
+  IncrementalLowerBound incremental(rooted);
+  incremental.rebuild(load);
+  const auto procs = t.processors();
+
+  std::vector<LoadMap> deltas(2, LoadMap(t.edgeCount()));
+  std::vector<std::vector<Count>> scratch(2);
+  for (int epoch = 0; epoch < 30; ++epoch) {
+    std::vector<workload::RequestEvent> events(1 + rng.nextBelow(400));
+    for (workload::RequestEvent& ev : events) {
+      // Skewed towards low ids, so some objects repeat and some stay
+      // untouched.
+      ev.object = static_cast<workload::ObjectId>(
+          rng.nextBelow(1 + rng.nextBelow(kObjects)));
+      ev.origin = procs[static_cast<std::size_t>(
+          rng.nextBelow(procs.size()))];
+      ev.isWrite = rng.nextBool(0.3);
+    }
+    std::vector<std::size_t> offsets(kObjects + 1);
+    std::vector<workload::RequestEvent> bucketed(events.size());
+    dynamic::bucketRequestsByObject(events, kObjects, offsets, bucketed);
+    const auto middle =
+        static_cast<workload::ObjectId>(rng.nextBelow(kObjects + 1));
+    const std::vector<workload::ObjectId> cuts = {0, middle, kObjects};
+    for (LoadMap& delta : deltas) delta.clear();
+    parallelForRanges(cuts, [&](workload::ObjectId first,
+                                workload::ObjectId last, int worker) {
+      for (workload::ObjectId x = first; x < last; ++x) {
+        const std::size_t begin = offsets[static_cast<std::size_t>(x)];
+        const std::size_t end = offsets[static_cast<std::size_t>(x) + 1];
+        if (begin == end) continue;
+        incremental.absorbObject(
+            x,
+            std::span<const workload::RequestEvent>(bucketed.data() + begin,
+                                                    end - begin),
+            load, deltas[static_cast<std::size_t>(worker)],
+            scratch[static_cast<std::size_t>(worker)]);
+      }
+    });
+    for (const LoadMap& delta : deltas) incremental.mergeDelta(delta);
+
+    const LowerBound full = analyticLowerBound(rooted, load);
+    ASSERT_EQ(std::vector<Count>(incremental.edgeMinima().edgeLoads().begin(),
+                                 incremental.edgeMinima().edgeLoads().end()),
+              std::vector<Count>(full.edgeMinima.edgeLoads().begin(),
+                                 full.edgeMinima.edgeLoads().end()))
+        << "epoch " << epoch;
+    ASSERT_DOUBLE_EQ(incremental.congestion(), full.congestion)
+        << "epoch " << epoch;
+  }
+  EXPECT_GT(incremental.congestion(), 0.0);
 }
 
 }  // namespace

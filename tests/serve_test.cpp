@@ -4,6 +4,7 @@
 // are never materialised.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hbn/core/parallel.h"
 #include "hbn/dynamic/online_strategy.h"
 #include "hbn/net/generators.h"
 #include "hbn/serve/epoch_server.h"
@@ -67,24 +69,22 @@ std::string stateJson(const EpochServer& server,
   return oss.str();
 }
 
-TEST(RequestStream, GeneratorStreamIsBoundedAndBatched) {
-  int counter = 0;
-  GeneratorStream stream(
-      [&] {
-        return RequestEvent{counter++ % 3, 1, false};
-      },
-      1000);
+TEST(RequestStream, GeneratedStreamIsBoundedAndBatched) {
+  const net::Tree tree = net::makeClusterNetwork(3, 4);
+  workload::StreamParams params;
+  params.numObjects = 3;
+  const auto stream = makeGeneratedStream("skewed", tree, params, 1, 1000);
   std::vector<RequestEvent> batch(256);
   std::size_t total = 0;
   std::size_t fills = 0;
-  while (const std::size_t n = stream.fill(batch)) {
+  while (const std::size_t n = stream->fill(batch)) {
     total += n;
     ++fills;
     ASSERT_LE(n, batch.size());
   }
   EXPECT_EQ(total, 1000u);
   EXPECT_EQ(fills, 4u);  // 256 + 256 + 256 + 232
-  EXPECT_EQ(stream.fill(batch), 0u);  // stays exhausted
+  EXPECT_EQ(stream->fill(batch), 0u);  // stays exhausted
 }
 
 TEST(RequestStream, GeneratedStreamsAreSeedDeterministicAndInRange) {
@@ -269,6 +269,163 @@ TEST(EpochServer, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(sequential, run(2));
   EXPECT_EQ(sequential, run(5));
   EXPECT_EQ(sequential, run(0));  // hardware concurrency
+}
+
+TEST(EpochServer, RequestWeightedCutsAreMonotoneCoveringAndBalanced) {
+  // A touched object weighs its request count plus objectCost; cut t is
+  // the first object whose prefix weight reaches t/W of the total. Cuts
+  // are ascending, cover [0, X), and no worker's weight exceeds total/W
+  // plus the heaviest object's weight.
+  util::Rng rng(73);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto objects = static_cast<int>(1 + rng.nextBelow(60));
+    std::vector<std::size_t> offsets(static_cast<std::size_t>(objects) + 1, 0);
+    for (int x = 0; x < objects; ++x) {
+      // Mostly empty objects, a few heavy ones, occasionally one hot spot.
+      const std::size_t count =
+          rng.nextBool(0.5) ? 0 : rng.nextBelow(trial % 7 == 0 ? 5000 : 40);
+      offsets[static_cast<std::size_t>(x) + 1] =
+          offsets[static_cast<std::size_t>(x)] + count;
+    }
+    for (const std::size_t objectCost : {0, 5, 37}) {
+      std::vector<std::size_t> weight(static_cast<std::size_t>(objects) + 1, 0);
+      std::size_t heaviest = 0;
+      for (std::size_t x = 0; x < static_cast<std::size_t>(objects); ++x) {
+        const std::size_t count = offsets[x + 1] - offsets[x];
+        const std::size_t w = count == 0 ? 0 : count + objectCost;
+        weight[x + 1] = weight[x] + w;
+        heaviest = std::max(heaviest, w);
+      }
+      const std::size_t total = weight.back();
+      for (const int workers : {1, 2, 3, 4, 8}) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " cost " +
+                     std::to_string(objectCost) + " workers " +
+                     std::to_string(workers));
+        std::vector<workload::ObjectId> cuts(
+            static_cast<std::size_t>(workers) + 1);
+        core::requestWeightedCuts(offsets, objectCost, cuts);
+        ASSERT_EQ(cuts.front(), 0);
+        ASSERT_EQ(cuts.back(), objects);
+        for (int t = 0; t < workers; ++t) {
+          const auto begin = static_cast<std::size_t>(cuts[t]);
+          const auto end = static_cast<std::size_t>(cuts[t + 1]);
+          ASSERT_LE(begin, end) << "worker " << t;
+          // share <= total/W + heaviest, compared exactly.
+          EXPECT_LE((weight[end] - weight[begin]) *
+                        static_cast<std::size_t>(workers),
+                    total + heaviest * static_cast<std::size_t>(workers))
+              << "worker " << t;
+        }
+      }
+    }
+  }
+}
+
+/// Per-epoch bound on the worker request imbalance that the server's
+/// cuts guarantee (objects weigh requests + |V|): a worker's requests
+/// are at most its weight, below total/W + heaviest, so max/mean <=
+/// (total + W·heaviest) / n.
+std::vector<double> imbalanceBounds(const std::vector<RequestEvent>& events,
+                                    int numObjects, std::size_t epochSize,
+                                    int workers, std::size_t objectCost) {
+  std::vector<double> bounds;
+  for (std::size_t start = 0; start < events.size(); start += epochSize) {
+    const std::size_t n = std::min(epochSize, events.size() - start);
+    std::vector<std::size_t> counts(static_cast<std::size_t>(numObjects));
+    for (std::size_t i = start; i < start + n; ++i) {
+      ++counts[static_cast<std::size_t>(events[i].object)];
+    }
+    std::size_t total = 0;
+    std::size_t heaviest = 0;
+    for (const std::size_t count : counts) {
+      if (count == 0) continue;
+      total += count + objectCost;
+      heaviest = std::max(heaviest, count + objectCost);
+    }
+    bounds.push_back(static_cast<double>(
+                         total + static_cast<std::size_t>(workers) * heaviest) /
+                     static_cast<double>(n));
+  }
+  return bounds;
+}
+
+TEST(EpochServer, DigestsAreEqualForAnyThreadCountAndCuts) {
+  // Request-weighted cuts move objects between workers as the thread
+  // count changes; per-object state is independent and every merged
+  // quantity is an integer sum, so every digest must stay equal — on a
+  // Zipf stream (re-placement on), on an epoch whose requests all hit
+  // one object (W − 1 empty ranges), and on a server restricted to an
+  // ownership mask.
+  const net::Tree tree = net::makeClusterNetwork(4, 8);
+  const net::RootedTree rooted(tree, tree.defaultRoot());
+  constexpr int kObjects = 120;
+  constexpr std::size_t kEpoch = 1 << 12;
+  workload::StreamParams params;
+  params.numObjects = kObjects;
+  std::vector<RequestEvent> zipf(50'000);
+  ASSERT_EQ(makeGeneratedStream("skewed", tree, params, 61, zipf.size())
+                ->fill(zipf),
+            zipf.size());
+  util::Rng rng(5);
+  std::vector<RequestEvent> oneObject(3 * kEpoch);
+  for (RequestEvent& ev : oneObject) {
+    ev = RequestEvent{37,
+                      tree.processors()[static_cast<std::size_t>(
+                          rng.nextBelow(tree.processors().size()))],
+                      rng.nextBool(0.2)};
+  }
+  std::vector<bool> mask(kObjects);
+  for (int x = 0; x < kObjects; ++x) mask[static_cast<std::size_t>(x)] = x % 3 != 1;
+
+  struct Case {
+    const char* name;
+    const std::vector<RequestEvent>* events;
+    std::vector<bool> owned;
+  };
+  const std::vector<Case> cases = {
+      {"zipf", &zipf, {}}, {"one-object", &oneObject, {}}, {"mask", &zipf, mask}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string sequential;
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      SCOPED_TRACE(threads);
+      ServeOptions options;
+      options.epochSize = kEpoch;
+      options.threads = threads;
+      options.replaceDrift = 1.5;  // exercise the lazy handoff path too
+      EpochServer server(rooted, kObjects, options, c.owned);
+      VectorStream stream(*c.events);
+      const ServeReport report = server.serve(stream);
+      std::ostringstream digest;
+      digest.precision(17);
+      digest << stateJson(server, report) << server.lowerBound();
+      if (threads == 1) {
+        sequential = digest.str();
+      } else {
+        EXPECT_EQ(digest.str(), sequential);
+      }
+      // Worker imbalance is deterministic and, without a mask (every
+      // request counts), within the cuts' guarantee.
+      const std::vector<EpochRecord>& log = server.epochLog();
+      if (c.owned.empty()) {
+        const std::vector<double> bounds = imbalanceBounds(
+            *c.events, kObjects, kEpoch, threads,
+            static_cast<std::size_t>(tree.nodeCount()));
+        ASSERT_EQ(log.size(), bounds.size());
+        for (std::size_t e = 0; e < log.size(); ++e) {
+          EXPECT_GE(log[e].workerImbalance, 1.0) << "epoch " << e;
+          EXPECT_LE(log[e].workerImbalance, bounds[e] + 1e-9) << "epoch " << e;
+        }
+      }
+      if (threads == 1) {
+        for (const EpochRecord& r : log) EXPECT_EQ(r.workerImbalance, 1.0);
+      }
+      if (std::string(c.name) == "one-object") {
+        // One hot object: its worker serves everything.
+        EXPECT_DOUBLE_EQ(report.workerImbalance, threads);
+      }
+    }
+  }
 }
 
 TEST(EpochServer, ReplacementFiresUnderSlowAdaptationAndHelps) {

@@ -5,10 +5,11 @@
 //
 // Serves an online stream of read/write requests through the epoch-batched
 // serving engine (hbn/serve/epoch_server.h): requests are consumed in
-// epochs, sharded over worker threads by object id (bit-identical output
-// for any --threads value), and between epochs the engine runs the
-// policy's drift-triggered re-placement pass against the analytic
-// offline lower bound of the aggregated frequencies.
+// epochs, each split over worker threads into contiguous object ranges
+// of about equal work (bit-identical output for any --threads value),
+// and between epochs the engine runs the policy's drift-triggered
+// re-placement pass against the analytic offline lower bound of the
+// aggregated frequencies.
 //
 // The serving policy is selected by --policy SPEC from the
 // OnlinePolicyRegistry (--list-policies enumerates them), sharing the
@@ -506,8 +507,12 @@ int main(int argc, char** argv) {
               << util::formatDouble(report.ratio, 2) << "\n"
               << report.replacements << " re-placements, "
               << report.replications << " replications, "
-              << report.invalidations << " invalidations\n"
-              << report.checkpoints << " checkpoints, "
+              << report.invalidations << " invalidations\n";
+    if (!sharded) {
+      std::cout << "serve-worker request imbalance (max/mean, epoch median) "
+                << util::formatDouble(report.workerImbalance, 2) << "\n";
+    }
+    std::cout << report.checkpoints << " checkpoints, "
               << report.degradedEpochs << " degraded epochs, "
               << report.handoffRetries << " handoff retries\n";
     if (options.faults && options.faults->triggered() > 0) {
@@ -550,6 +555,7 @@ int main(int argc, char** argv) {
         records.field("latency_ms_p50", r.latencyMsP50);
         records.field("latency_ms_p99", r.latencyMsP99);
         records.field("latency_ms_p999", r.latencyMsP999);
+        records.field("worker_imbalance", r.workerImbalance);
         records.field("replaced", r.replaced);
         records.field("degraded", r.degraded);
         records.field("checkpointed", r.checkpointed);
@@ -590,6 +596,7 @@ int main(int argc, char** argv) {
       records.field("replacements", report.replacements);
       records.field("replications", report.replications);
       records.field("invalidations", report.invalidations);
+      records.field("worker_imbalance", report.workerImbalance);
       records.field("degraded_epochs", report.degradedEpochs);
       records.field("handoff_retries", report.handoffRetries);
       records.field("checkpoints", report.checkpoints);
