@@ -19,7 +19,8 @@
 //                critical-path throughput (Σ over epochs of the
 //                slowest shard's CPU time — what N truly parallel
 //                workers would take; see docs/sharding.md) scales to
-//                >= 1.5x at 4 workers. Wall clock is reported
+//                >= 1.5x at 4 workers (the median 4-vs-1-worker
+//                ratio over interleaved pairs). Wall clock is reported
 //                alongside but not gated: on fewer cores than workers
 //                the shards time-slice and wall clock measures the
 //                machine, not the protocol.
@@ -37,6 +38,7 @@
 #include "hbn/serve/request_stream.h"
 #include "hbn/shard/coordinator.h"
 #include "hbn/shard/process.h"
+#include "hbn/util/stats.h"
 #include "hbn/util/table.h"
 #include "hbn/util/timer.h"
 
@@ -65,6 +67,11 @@ constexpr const char* kScalingPolicy = "adaptive";
 /// five-epoch runs leave little amortisation.
 constexpr double kSpeedupFloorFull = 1.5;
 constexpr double kSpeedupFloorSmoke = 1.05;
+/// The gated speedup is the median over this many interleaved
+/// 1-worker/4-worker pairs: one pair's ratio moves with whatever else
+/// the host runs during either run, the median of interleaved pairs
+/// does not.
+constexpr int kScalingPairs = 5;
 
 std::vector<workload::RequestEvent> materialize(const net::Tree& tree,
                                                 int objects,
@@ -252,7 +259,7 @@ class ShardedServingExperiment final : public engine::Experiment {
     util::Table scalingTable({"workers", "wall Mreq/s", "critical Mreq/s",
                               "speedup", "bytes/request", "epoch p99 ms"});
     double baselineCritical = 0.0;
-    double speedupAt4 = 0.0;
+    util::Accumulator speedups;  // 4-worker / 1-worker, per pair
     std::string scalingReference;
     bool scalingIdentity = true;
     for (const int workers : {1, 2, 4}) {
@@ -272,7 +279,7 @@ class ShardedServingExperiment final : public engine::Experiment {
           baselineCritical > 0.0
               ? report.requestsPerSecCritical / baselineCritical
               : 0.0;
-      if (workers == 4) speedupAt4 = speedup;
+      if (workers == 4) speedups.add(speedup);
       scalingTable.addRow(
           {std::to_string(workers),
            util::formatDouble(report.requestsPerSec / 1e6, 2),
@@ -309,12 +316,34 @@ class ShardedServingExperiment final : public engine::Experiment {
     ctx.os() << "\ncritical-path scaling, " << kScalingPolicy
              << " policy on the skewed stream:\n";
     scalingTable.print(ctx.os());
+    // The rows above are the first 1/4-worker pair; the rest of the
+    // pairs only feed the median (and the digest identity).
+    for (int pair = 1; pair < kScalingPairs; ++pair) {
+      std::string oneDigest;
+      std::string fourDigest;
+      util::Timer timer;
+      const shard::ShardedReport one =
+          sharded(scalingEvents, kScalingPolicy, kScalingObjects,
+                  kScalingEpoch, 1, /*socket=*/false, &oneDigest);
+      const shard::ShardedReport four =
+          sharded(scalingEvents, kScalingPolicy, kScalingObjects,
+                  kScalingEpoch, 4, /*socket=*/false, &fourDigest);
+      reporter.addTiming(timer.millis());
+      scalingIdentity = scalingIdentity && oneDigest == scalingReference &&
+                        fourDigest == scalingReference;
+      speedups.add(one.requestsPerSecCritical > 0.0
+                       ? four.requestsPerSecCritical /
+                             one.requestsPerSecCritical
+                       : 0.0);
+    }
+    const double speedupAt4 = speedups.median();
 
     const double speedupFloor =
         ctx.smoke ? kSpeedupFloorSmoke : kSpeedupFloorFull;
     const bool scalingHeld = speedupAt4 >= speedupFloor;
     ctx.os() << "\ncritical-path speedup at 4 workers: "
-             << util::formatDouble(speedupAt4, 2) << "x (floor "
+             << util::formatDouble(speedupAt4, 2) << "x (median of "
+             << kScalingPairs << " interleaved pairs; floor "
              << util::formatDouble(speedupFloor, 2) << "x, "
              << (ctx.smoke ? "smoke" : "full") << " mode)\n";
 
@@ -337,9 +366,11 @@ class ShardedServingExperiment final : public engine::Experiment {
     reporter.field("claim",
                    ctx.smoke
                        ? "critical-path throughput does not lose at 4 "
-                         "workers (smoke floor)"
+                         "workers (smoke floor, median of interleaved "
+                         "pairs)"
                        : "critical-path throughput scales >= 1.5x at 4 "
-                         "workers on the skewed stream");
+                         "workers on the skewed stream (median of "
+                         "interleaved pairs)");
     reporter.field("value", speedupAt4);
     reporter.field("held", scalingHeld);
     return identityHeld && socketHeld && scalingIdentity && scalingHeld;

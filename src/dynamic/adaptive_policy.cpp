@@ -1,9 +1,9 @@
 #include "hbn/dynamic/adaptive_policy.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "hbn/net/steiner.h"
@@ -283,7 +283,7 @@ void AdaptivePolicy::resetCopySet(ObjectId x,
       route.desired != route.active ? 1 : 0;
 }
 
-void AdaptivePolicy::serializeState(std::ostream& os) const {
+void AdaptivePolicy::serializeState(util::ByteWriter& out) const {
   // Quiescence: every begun pass has been applied to every object (the
   // epoch server drains before checkpointing), so the routing snapshots
   // are dead and only the pass COUNT needs to survive.
@@ -295,93 +295,71 @@ void AdaptivePolicy::serializeState(std::ostream& os) const {
     }
   }
   const std::size_t m = members_.size();
-  os << "adaptive v1 " << m << ' ' << window_ << ' ' << passesBegun_ << ' '
-     << handoffs_ << '\n';
-  for (std::size_t i = 0; i < m; ++i) {
-    os << "member " << i << '\n';
-    members_[i]->serializeState(os);
-  }
-  os << "routes\n";
+  out.block("adaptive");
+  out.varint(m);
+  out.varint(static_cast<std::uint64_t>(window_));
+  out.varint(passesBegun_);
+  out.varint(handoffs_);
+  for (const auto& member : members_) member->serializeState(out);
   for (std::size_t x = 0; x < routes_.size(); ++x) {
     const Route& r = routes_[x];
-    os << x << ' ' << static_cast<unsigned>(r.active) << ' '
-       << static_cast<unsigned>(r.desired) << ' '
-       << static_cast<unsigned>(r.stable) << ' '
-       << static_cast<unsigned>(r.seeded) << ' ' << r.touches << ' '
-       << r.switches << ' ' << r.reads << ' ' << r.writes << ' '
-       << static_cast<unsigned>(pending_[x]) << '\n';
+    out.u8(r.active);
+    out.u8(r.desired);
+    out.u8(r.stable);
+    out.u8(r.seeded);
+    out.u8(static_cast<std::uint8_t>(pending_[x]));
+    out.varint(r.touches);
+    out.varint(r.switches);
+    out.varint(static_cast<std::uint64_t>(r.reads));
+    out.varint(static_cast<std::uint64_t>(r.writes));
   }
-  os << "costs\n";
-  for (std::size_t x = 0; x < routes_.size(); ++x) {
-    os << x;
-    const std::size_t base = x * m;
-    for (std::size_t i = 0; i < m; ++i) os << ' ' << windowCost_[base + i];
-    for (std::size_t i = 0; i < m; ++i) os << ' ' << smoothedCost_[base + i];
-    for (std::size_t i = 0; i < m; ++i) os << ' ' << prevRaw_[base + i];
-    for (std::size_t i = 0; i < m; ++i) os << ' ' << chargedCost_[base + i];
-    os << '\n';
+  // Scores are non-negative (loads and EWMAs of loads).
+  for (const std::vector<core::Count>* costs :
+       {&windowCost_, &smoothedCost_, &prevRaw_, &chargedCost_}) {
+    for (const core::Count c : *costs) {
+      out.varint(static_cast<std::uint64_t>(c));
+    }
   }
 }
 
-void AdaptivePolicy::restoreState(std::istream& in) {
+void AdaptivePolicy::restoreState(util::ByteReader& in) {
   const auto fail = [](const std::string& why) {
     throw std::invalid_argument("adaptive state: " + why);
   };
-  std::string tag;
-  std::string version;
-  std::size_t m = 0;
-  int window = 0;
-  if (!(in >> tag >> version >> m >> window >> passesBegun_ >> handoffs_) ||
-      tag != "adaptive" || version != "v1") {
-    fail("bad header");
-  }
-  if (m != members_.size() || window != window_) {
+  constexpr auto kMaxCount =
+      static_cast<std::uint64_t>(std::numeric_limits<core::Count>::max());
+  constexpr auto kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+  if (in.block() != "adaptive") fail("bad header");
+  const std::uint64_t m = in.varint();
+  const std::uint64_t window = in.varint();
+  if (m != members_.size() || window != static_cast<std::uint64_t>(window_)) {
     fail("member count or window does not match this configuration");
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    std::size_t index = 0;
-    if (!(in >> tag >> index) || tag != "member" || index != i) {
-      fail("bad member header");
-    }
-    members_[i]->restoreState(in);
-  }
-  if (!(in >> tag) || tag != "routes") fail("missing routes section");
+  passesBegun_ = in.varint();
+  handoffs_ = in.varint();
+  for (const auto& member : members_) member->restoreState(in);
   for (std::size_t x = 0; x < routes_.size(); ++x) {
-    std::size_t id = 0;
-    unsigned active = 0, desired = 0, stable = 0, seeded = 0, pending = 0;
     Route r;
-    if (!(in >> id >> active >> desired >> stable >> seeded >> r.touches >>
-          r.switches >> r.reads >> r.writes >> pending) ||
-        id != x) {
-      fail("bad route line");
-    }
-    if (active >= m || desired >= m || stable > kAmortiseMax || seeded > 1 ||
-        pending > 1) {
+    r.active = in.u8();
+    r.desired = in.u8();
+    r.stable = in.u8();
+    r.seeded = in.u8();
+    const std::uint8_t pending = in.u8();
+    if (r.active >= m || r.desired >= m || r.stable > kAmortiseMax ||
+        r.seeded > 1 || pending > 1) {
       fail("route fields out of range");
     }
-    r.active = static_cast<std::uint8_t>(active);
-    r.desired = static_cast<std::uint8_t>(desired);
-    r.stable = static_cast<std::uint8_t>(stable);
-    r.seeded = static_cast<std::uint8_t>(seeded);
+    r.touches = static_cast<std::uint32_t>(in.varint(kMaxU32, "touches"));
+    r.switches = static_cast<std::uint32_t>(in.varint(kMaxU32, "switches"));
+    r.reads = static_cast<core::Count>(in.varint(kMaxCount, "route reads"));
+    r.writes = static_cast<core::Count>(in.varint(kMaxCount, "route writes"));
     routes_[x] = r;
     pending_[x] = static_cast<char>(pending);
   }
-  if (!(in >> tag) || tag != "costs") fail("missing costs section");
-  for (std::size_t x = 0; x < routes_.size(); ++x) {
-    std::size_t id = 0;
-    if (!(in >> id) || id != x) fail("bad cost line");
-    const std::size_t base = x * m;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!(in >> windowCost_[base + i])) fail("bad window cost");
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!(in >> smoothedCost_[base + i])) fail("bad smoothed cost");
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!(in >> prevRaw_[base + i])) fail("bad previous-window cost");
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!(in >> chargedCost_[base + i])) fail("bad charged cost");
+  for (std::vector<core::Count>* costs :
+       {&windowCost_, &smoothedCost_, &prevRaw_, &chargedCost_}) {
+    for (core::Count& c : *costs) {
+      c = static_cast<core::Count>(in.varint(kMaxCount, "score"));
     }
   }
   // The serialized point was quiescent: all passes applied, snapshots

@@ -123,8 +123,8 @@ class AdaptivePolicy final : public OnlinePolicy {
   /// recursively. Requires quiescence (every object has applied every
   /// begun pass, so the routing snapshots are dead); throws
   /// std::logic_error otherwise.
-  void serializeState(std::ostream& os) const override;
-  void restoreState(std::istream& in) override;
+  void serializeState(util::ByteWriter& out) const override;
+  void restoreState(util::ByteReader& in) override;
 
  private:
   class RoutePass;

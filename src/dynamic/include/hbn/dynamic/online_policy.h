@@ -36,7 +36,6 @@
 //                     window=<epochs>` (hbn/dynamic/adaptive_policy.h)
 #pragma once
 
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <string>
@@ -166,10 +165,12 @@ class OnlinePolicy {
     return {};
   }
 
-  /// Writes the policy's mutable serving state — copy sets, counters,
-  /// scores, handoff bookkeeping — as whitespace-separated text, the
-  /// policy-state block of an epoch-boundary checkpoint
-  /// (hbn/serve/checkpoint.h). Contract: restoreState on a FRESHLY
+  /// Appends the policy's mutable serving state — copy sets, counters,
+  /// scores, handoff bookkeeping — to `out` in the shared byte codec
+  /// (hbn/util/bytes.h): the policy block of an epoch-boundary
+  /// checkpoint (hbn/serve/checkpoint.h). The state opens with the
+  /// policy's tag, so a block restored into the wrong kind of policy
+  /// fails at once. Contract: restoreState on a FRESHLY
   /// built policy with an identical spec over the same topology
   /// reproduces bit-identical serving from the serialized point on
   /// (property-checked for every registered policy by
@@ -177,12 +178,13 @@ class OnlinePolicy {
   /// in-flight HandoffPass — which the epoch server guarantees by
   /// draining all passes before checkpointing; a non-quiescent policy
   /// throws std::logic_error.
-  virtual void serializeState(std::ostream& os) const = 0;
+  virtual void serializeState(util::ByteWriter& out) const = 0;
 
   /// Restores state written by serializeState on an identically
-  /// configured policy; throws std::invalid_argument on malformed,
-  /// truncated, or out-of-range input.
-  virtual void restoreState(std::istream& in) = 0;
+  /// configured policy, reading exactly what serializeState wrote;
+  /// throws std::invalid_argument on malformed, truncated, or
+  /// out-of-range input.
+  virtual void restoreState(util::ByteReader& in) = 0;
 };
 
 /// A parsed policy spec, ready to build per-server instances. Splitting

@@ -26,13 +26,13 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "hbn/core/flat_load.h"
 #include "hbn/core/load.h"
 #include "hbn/net/rooted.h"
+#include "hbn/util/bytes.h"
 #include "hbn/workload/workload.h"
 
 namespace hbn::dynamic {
@@ -124,15 +124,15 @@ class OnlineTreeStrategy {
   /// Current copy locations of `x`, ascending.
   [[nodiscard]] std::vector<net::NodeId> copySet(ObjectId x) const;
 
-  /// Writes the per-object counter state (copy locations in incremental
-  /// order, anchor, nonzero read counters) as whitespace-separated text.
+  /// Appends the per-object counter state (anchor, copy locations in
+  /// incremental order, nonzero read counters) to `out` as varints.
   /// restoreState on a freshly built strategy over the same topology
   /// reproduces bit-identical serving from that point on.
-  void serializeState(std::ostream& os) const;
+  void serializeState(util::ByteWriter& out) const;
 
   /// Restores state written by serializeState; throws
-  /// std::invalid_argument on malformed text or out-of-range values.
-  void restoreState(std::istream& in);
+  /// std::invalid_argument on malformed bytes or out-of-range values.
+  void restoreState(util::ByteReader& in);
 
   /// Total number of replications performed (copy-set extensions).
   [[nodiscard]] Count replications() const noexcept { return replications_; }

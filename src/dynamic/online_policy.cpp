@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
-#include <istream>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -134,15 +132,13 @@ ObjectId checkObjectId(ObjectId x, std::size_t numObjects,
   return x;
 }
 
-/// Reads and checks the `<name> v1` header every policy-state block
-/// starts with, so restoring into the wrong policy type fails loudly
-/// instead of misparsing.
-void expectStateHeader(std::istream& in, std::string_view name) {
-  std::string tag;
-  std::string version;
-  if (!(in >> tag >> version) || tag != name || version != "v1") {
-    throw std::invalid_argument("policy state: expected '" +
-                                std::string(name) + " v1' header");
+/// Reads and checks the tag every policy state starts with, so
+/// restoring into the wrong policy type fails loudly instead of
+/// misparsing.
+void expectStateTag(util::ByteReader& in, std::string_view name) {
+  if (in.block() != name) {
+    throw std::invalid_argument("policy state: expected a '" +
+                                std::string(name) + "' state");
   }
 }
 
@@ -286,16 +282,15 @@ class TreeCountersPolicy final : public OnlinePolicy {
             {"policy.handoffs", static_cast<double>(handoffs_)}};
   }
 
-  void serializeState(std::ostream& os) const override {
-    os << "tree-counters v1 " << handoffs_ << '\n';
-    strategy_.serializeState(os);
+  void serializeState(util::ByteWriter& out) const override {
+    out.block("tree-counters");
+    out.varint(handoffs_);
+    strategy_.serializeState(out);
   }
 
-  void restoreState(std::istream& in) override {
-    expectStateHeader(in, "tree-counters");
-    if (!(in >> handoffs_)) {
-      throw std::invalid_argument("tree-counters state: bad handoff count");
-    }
+  void restoreState(util::ByteReader& in) override {
+    expectStateTag(in, "tree-counters");
+    handoffs_ = in.varint();
     strategy_.restoreState(in);
   }
 
@@ -393,50 +388,44 @@ class StaticPolicy final : public OnlinePolicy {
             {"policy.copyNodes", static_cast<double>(copyNodes)}};
   }
 
-  void serializeState(std::ostream& os) const override {
+  void serializeState(util::ByteWriter& out) const override {
     // FrozenConfig's gate table and Steiner edges are derived data; the
     // sorted location list alone reconstructs the config bit for bit.
-    os << "static v1 " << handoffs_ << '\n';
-    os << "objects " << objects_.size() << '\n';
-    for (std::size_t x = 0; x < objects_.size(); ++x) {
-      const FrozenConfig& config = *objects_[x];
-      os << x << ' ' << config.locations.size();
-      for (const net::NodeId v : config.locations) os << ' ' << v;
-      os << '\n';
+    out.block("static");
+    out.varint(handoffs_);
+    out.varint(objects_.size());
+    for (const auto& config : objects_) {
+      out.varint(config->locations.size());
+      for (const net::NodeId v : config->locations) {
+        out.varint(static_cast<std::uint64_t>(v));
+      }
     }
   }
 
-  void restoreState(std::istream& in) override {
-    expectStateHeader(in, "static");
+  void restoreState(util::ByteReader& in) override {
+    expectStateTag(in, "static");
     const auto fail = [](const std::string& why) {
       throw std::invalid_argument("static state: " + why);
     };
-    if (!(in >> handoffs_)) fail("bad handoff count");
-    std::string tag;
-    std::size_t count = 0;
-    if (!(in >> tag >> count) || tag != "objects" ||
-        count != objects_.size()) {
-      fail("bad objects header");
-    }
+    handoffs_ = in.varint();
+    const std::uint64_t count = in.varint();
+    if (count != objects_.size()) fail("bad object count");
+    const auto nodeCount =
+        static_cast<std::uint64_t>(rooted_->tree().nodeCount());
     // Most objects typically share a configuration (everything starts
     // on one, and a monolithic handoff moves many objects to identical
     // sets); dedupe on the sorted location key so restore rebuilds each
     // distinct FrozenConfig (gate BFS + Steiner) once, not per object.
     std::map<std::vector<net::NodeId>, std::shared_ptr<const FrozenConfig>>
         configs;
-    for (std::size_t i = 0; i < count; ++i) {
-      std::size_t x = 0;
-      std::size_t nLoc = 0;
-      if (!(in >> x >> nLoc) || x != i) fail("bad object line");
-      if (nLoc < 1 ||
-          nLoc > static_cast<std::size_t>(rooted_->tree().nodeCount())) {
-        fail("copy count out of range");
-      }
-      std::vector<net::NodeId> locations(nLoc);
+    for (std::size_t x = 0; x < objects_.size(); ++x) {
+      const std::uint64_t nLoc = in.varint();
+      if (nLoc < 1 || nLoc > nodeCount) fail("copy count out of range");
+      std::vector<net::NodeId> locations(static_cast<std::size_t>(nLoc));
       for (net::NodeId& v : locations) {
-        if (!(in >> v) || v < 0 || v >= rooted_->tree().nodeCount()) {
-          fail("location out of range");
-        }
+        const std::uint64_t location = in.varint();
+        if (location >= nodeCount) fail("location out of range");
+        v = static_cast<net::NodeId>(location);
       }
       auto [it, inserted] = configs.try_emplace(locations, nullptr);
       if (inserted) {
@@ -503,19 +492,21 @@ class FixedConfigPolicy : public OnlinePolicy {
              static_cast<double>(config_.locations.size())}};
   }
 
-  void serializeState(std::ostream& os) const override {
+  void serializeState(util::ByteWriter& out) const override {
     // The configuration is immutable and fully determined by the spec;
-    // the block is a validation marker only.
-    os << "fixed v1 " << name() << '\n';
+    // the state is a validation marker only.
+    out.block("fixed");
+    out.block(name());
   }
 
-  void restoreState(std::istream& in) override {
-    expectStateHeader(in, "fixed");
-    std::string stored;
-    if (!(in >> stored) || stored != name()) {
+  void restoreState(util::ByteReader& in) override {
+    expectStateTag(in, "fixed");
+    const std::string_view stored = in.block();
+    if (stored != name()) {
       throw std::invalid_argument(
-          "fixed-config state: policy name mismatch (got '" + stored +
-          "', expected '" + std::string(name()) + "')");
+          "fixed-config state: policy name mismatch (got '" +
+          std::string(stored) + "', expected '" + std::string(name()) +
+          "')");
     }
   }
 

@@ -1,9 +1,9 @@
 #include "hbn/dynamic/online_strategy.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "hbn/net/steiner.h"
 
@@ -310,90 +310,86 @@ void OnlineTreeStrategy::resetCopySet(ObjectId x,
   state.countedEdges.clear();
 }
 
-void OnlineTreeStrategy::serializeState(std::ostream& os) const {
-  // One line per object: locations in their incremental (insertion)
-  // order so the restored vector is positionally identical, the anchor,
-  // then the nonzero read counters as (edge, count) pairs. countedEdges
-  // may hold duplicates and already-reset edges in a live strategy;
-  // emitting the deduplicated nonzero set restores identical counter
-  // VALUES, and contraction's zeroing is idempotent over either list.
-  os << "objects " << objects_.size() << '\n';
-  for (std::size_t x = 0; x < objects_.size(); ++x) {
-    const ObjectState& state = objects_[x];
-    os << x << ' ' << state.anchor << ' ' << state.locations.size();
-    for (const net::NodeId v : state.locations) os << ' ' << v;
-    std::size_t counted = 0;
-    for (std::size_t e = 0; e < state.readCounter.size(); ++e) {
-      if (state.readCounter[e] != 0) ++counted;
+void OnlineTreeStrategy::serializeState(util::ByteWriter& out) const {
+  // Per object: the anchor, the locations in their incremental
+  // (insertion) order so the restored vector is positionally
+  // identical, then the nonzero read counters as (edge, count) pairs.
+  // countedEdges may hold duplicates and already-reset edges in a live
+  // strategy; writing the deduplicated nonzero set restores identical
+  // counter VALUES, and contraction's zeroing is idempotent over either
+  // list.
+  out.varint(objects_.size());
+  for (const ObjectState& state : objects_) {
+    out.varint(static_cast<std::uint64_t>(state.anchor));
+    out.varint(state.locations.size());
+    for (const net::NodeId v : state.locations) {
+      out.varint(static_cast<std::uint64_t>(v));
     }
-    os << ' ' << counted;
+    std::uint64_t counted = 0;
+    for (const Count value : state.readCounter) {
+      if (value != 0) ++counted;
+    }
+    out.varint(counted);
     for (std::size_t e = 0; e < state.readCounter.size(); ++e) {
       if (state.readCounter[e] != 0) {
-        os << ' ' << e << ' ' << state.readCounter[e];
+        out.varint(e);
+        out.varint(static_cast<std::uint64_t>(state.readCounter[e]));
       }
     }
-    os << '\n';
   }
 }
 
-void OnlineTreeStrategy::restoreState(std::istream& in) {
+void OnlineTreeStrategy::restoreState(util::ByteReader& in) {
   const auto fail = [](const std::string& why) {
     throw std::invalid_argument("tree-counters state: " + why);
   };
-  std::string tag;
-  std::size_t count = 0;
-  if (!(in >> tag >> count) || tag != "objects" || count != objects_.size()) {
-    fail("bad objects header");
-  }
-  const int nodeCount = rooted_->tree().nodeCount();
-  const int edgeCount = rooted_->tree().edgeCount();
-  for (std::size_t i = 0; i < count; ++i) {
-    std::size_t x = 0;
-    net::NodeId anchor = net::kInvalidNode;
-    std::size_t nLoc = 0;
-    if (!(in >> x >> anchor >> nLoc) || x != i) fail("bad object line");
-    if (nLoc < 1 || nLoc > static_cast<std::size_t>(nodeCount)) {
-      fail("copy count out of range");
-    }
-    ObjectState& state = objects_[x];
+  if (in.varint() != objects_.size()) fail("bad object count");
+  const net::Tree& tree = rooted_->tree();
+  const auto nodeCount = static_cast<std::uint64_t>(tree.nodeCount());
+  const auto edgeCount = static_cast<std::uint64_t>(tree.edgeCount());
+  constexpr auto kMaxCount =
+      static_cast<std::uint64_t>(std::numeric_limits<Count>::max());
+  for (ObjectState& state : objects_) {
+    const std::uint64_t anchor = in.varint();
+    const std::uint64_t nLoc = in.varint();
+    if (nLoc < 1 || nLoc > nodeCount) fail("copy count out of range");
     for (const net::NodeId v : state.locations) {
       state.hasCopy[static_cast<std::size_t>(v)] = 0;
     }
     state.locations.clear();
-    for (std::size_t j = 0; j < nLoc; ++j) {
-      net::NodeId v = net::kInvalidNode;
-      if (!(in >> v) || v < 0 || v >= nodeCount) fail("location out of range");
+    for (std::uint64_t j = 0; j < nLoc; ++j) {
+      const std::uint64_t v = in.varint();
+      if (v >= nodeCount) fail("location out of range");
       if (state.hasCopy[static_cast<std::size_t>(v)]) {
         fail("duplicate copy location");
       }
       state.hasCopy[static_cast<std::size_t>(v)] = 1;
-      state.locations.push_back(v);
+      state.locations.push_back(static_cast<net::NodeId>(v));
     }
     state.copyCount = static_cast<int>(nLoc);
-    if (anchor < 0 || anchor >= nodeCount ||
+    if (anchor >= nodeCount ||
         !state.hasCopy[static_cast<std::size_t>(anchor)]) {
       fail("anchor holds no copy");
     }
-    state.anchor = anchor;
+    state.anchor = static_cast<net::NodeId>(anchor);
     for (const net::EdgeId e : state.countedEdges) {
       state.readCounter[static_cast<std::size_t>(e)] = 0;
     }
     state.countedEdges.clear();
-    std::size_t counted = 0;
-    if (!(in >> counted) || counted > static_cast<std::size_t>(edgeCount)) {
-      fail("bad counter count");
-    }
-    for (std::size_t j = 0; j < counted; ++j) {
-      net::EdgeId e = -1;
-      Count value = 0;
-      if (!(in >> e >> value) || e < 0 || e >= edgeCount || value < 1) {
+    const std::uint64_t counted = in.varint();
+    if (counted > edgeCount) fail("bad counter count");
+    for (std::uint64_t j = 0; j < counted; ++j) {
+      const std::uint64_t e = in.varint();
+      const std::uint64_t value = in.varint();
+      if (e >= edgeCount || value < 1 || value > kMaxCount) {
         fail("bad counter entry");
       }
       if (state.readCounter[static_cast<std::size_t>(e)] != 0) {
         fail("duplicate counter edge");
       }
-      state.readCounter[static_cast<std::size_t>(e)] = value;
-      state.countedEdges.push_back(e);
+      state.readCounter[static_cast<std::size_t>(e)] =
+          static_cast<Count>(value);
+      state.countedEdges.push_back(static_cast<net::EdgeId>(e));
     }
   }
 }

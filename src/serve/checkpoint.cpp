@@ -1,234 +1,177 @@
 #include "hbn/serve/checkpoint.h"
 
-#include <charconv>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
+
+#include "hbn/util/bytes.h"
 
 namespace hbn::serve {
 namespace {
 
-constexpr const char* kHeader = "hbn-checkpoint v1";
+/// The first line of every checkpoint: the magic, then the version
+/// digits and a newline — readable with `head -1`, and shared with the
+/// v1 text format, so a v1 file is named as such rather than garbage.
+constexpr std::string_view kMagic = "hbn-checkpoint v";
+constexpr std::string_view kVersion = "2";
 constexpr const char* kLatest = "LATEST";
+constexpr auto kMaxCount =
+    static_cast<std::uint64_t>(std::numeric_limits<core::Count>::max());
+constexpr auto kMaxInt =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
 
 [[noreturn]] void parseFail(const std::string& why) {
   throw std::invalid_argument("checkpoint: " + why);
 }
 
-/// FNV-1a 64-bit over the serialized payload: cheap, dependency-free,
-/// and enough to turn silent bit rot into a loud restore failure.
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
+std::string encode(const CheckpointData& data) {
+  util::ByteWriter w;
+  w.reserve(data.rows.size() + data.policyState.size() +
+            data.policySpec.size() + data.loads.size() * 20 + 256);
+  w.raw(kMagic);
+  w.raw(kVersion);
+  w.raw("\n");
+  w.block(data.policySpec);
+  for (const int dim : {data.numObjects, data.numNodes, data.numEdges}) {
+    w.varint(static_cast<std::uint64_t>(dim));
   }
-  return hash;
-}
-
-void appendInt(std::string& out, std::uint64_t value) {
-  char buf[24];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, ptr);
-}
-
-void appendInt(std::string& out, std::int64_t value) {
-  char buf[24];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, ptr);
-}
-
-void appendHex(std::string& out, std::uint64_t value) {
-  char buf[20];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value, 16);
-  out.append(buf, ptr);
-}
-
-void appendCounts(std::string& out, const char* tag,
-                  const std::vector<core::Count>& values) {
-  out += tag;
-  out += ' ';
-  appendInt(out, static_cast<std::uint64_t>(values.size()));
-  for (const core::Count v : values) {
-    out += ' ';
-    appendInt(out, static_cast<std::int64_t>(v));
+  for (const std::uint64_t v :
+       {data.servedTotal, data.epochs, data.replacements,
+        static_cast<std::uint64_t>(data.replications),
+        static_cast<std::uint64_t>(data.invalidations), data.passesBegun,
+        data.degradedEpochs, data.handoffRetries,
+        data.checkpointsWritten}) {
+    w.varint(v);
   }
-  out += '\n';
-}
-
-void readCounts(std::istream& in, const char* tag,
-                std::vector<core::Count>& out, int expected) {
-  std::string seen;
-  std::size_t count = 0;
-  if (!(in >> seen >> count) || seen != tag ||
-      count != static_cast<std::size_t>(expected)) {
-    parseFail(std::string("bad ") + tag + " section");
-  }
-  out.resize(count);
-  for (core::Count& v : out) {
-    if (!(in >> v) || v < 0) parseFail(std::string(tag) + " value");
-  }
-}
-
-/// Doubles round-trip as their raw 64-bit pattern in hex — exact by
-/// construction (istream extraction cannot parse hexfloat text).
-std::uint64_t markBits(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-double markValue(std::uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
-
-/// Reads a `<tag> <bytes>\n<payload>` block (the framing that lets the
-/// embedded workload / policy text contain anything, including lines
-/// that look like checkpoint sections).
-std::string readBlock(std::istream& in, const char* tag) {
-  std::string seen;
-  std::size_t bytes = 0;
-  if (!(in >> seen >> bytes) || seen != tag) {
-    parseFail(std::string("bad ") + tag + " block header");
-  }
-  if (bytes > (1u << 30)) parseFail(std::string(tag) + " block too large");
-  in.get();  // the newline after the byte count
-  std::string payload(bytes, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(bytes));
-  if (static_cast<std::size_t>(in.gcount()) != bytes) {
-    parseFail(std::string(tag) + " block truncated");
-  }
-  return payload;
-}
-
-std::string renderPayload(const CheckpointData& data) {
-  // Direct string appends (to_chars, single reserve): checkpoint
-  // rendering sits on the serve loop's critical path at every
-  // checkpoint boundary, and ostream formatting dominated its cost.
-  std::string os;
-  os.reserve(data.workloadText.size() + data.policyState.size() +
-             static_cast<std::size_t>(data.numEdges) * 40 + 512);
-  os += kHeader;
-  os += "\npolicy ";
-  os += data.policySpec;
-  os += "\ndims ";
-  appendInt(os, static_cast<std::int64_t>(data.numObjects));
-  os += ' ';
-  appendInt(os, static_cast<std::int64_t>(data.numNodes));
-  os += ' ';
-  appendInt(os, static_cast<std::int64_t>(data.numEdges));
-  os += "\nprogress ";
-  appendInt(os, data.servedTotal);
-  os += ' ';
-  appendInt(os, data.epochs);
-  os += ' ';
-  appendInt(os, data.replacements);
-  os += ' ';
-  appendInt(os, static_cast<std::int64_t>(data.replications));
-  os += ' ';
-  appendInt(os, static_cast<std::int64_t>(data.invalidations));
-  os += ' ';
-  appendInt(os, data.passesBegun);
-  os += "\nstats ";
-  appendInt(os, data.degradedEpochs);
-  os += ' ';
-  appendInt(os, data.handoffRetries);
-  os += ' ';
-  appendInt(os, data.checkpointsWritten);
   // Raw bit patterns: the doubles round-trip bit for bit, which the
   // drift trigger's growth deltas need for digest identity.
-  os += "\nmarks ";
-  appendHex(os, markBits(data.serveCongestionMark));
-  os += ' ';
-  appendHex(os, markBits(data.lowerBoundMark));
-  os += '\n';
-  appendCounts(os, "loads", data.loads);
-  appendCounts(os, "serve-loads", data.serveLoads);
-  os += "workload ";
-  appendInt(os, static_cast<std::uint64_t>(data.workloadText.size()));
-  os += '\n';
-  os += data.workloadText;
-  os += "policy-state ";
-  appendInt(os, static_cast<std::uint64_t>(data.policyState.size()));
-  os += '\n';
-  os += data.policyState;
-  return os;
+  w.f64(data.serveCongestionMark);
+  w.f64(data.lowerBoundMark);
+  w.varint(data.epochSize);
+  w.f64(data.replaceDrift);
+  for (const std::vector<core::Count>* loads :
+       {&data.loads, &data.serveLoads}) {
+    if (loads->size() != static_cast<std::size_t>(data.numEdges)) {
+      throw std::invalid_argument("checkpoint: load vector size != numEdges");
+    }
+    for (const core::Count v : *loads) {
+      w.varint(static_cast<std::uint64_t>(v));
+    }
+  }
+  w.block(data.rows);
+  w.block(data.policyState);
+  w.u64(util::fnv1a(w.view()));
+  return w.take();
+}
+
+/// Reads the whole remaining stream into one exactly sized buffer (a
+/// seekable stream — file or string — is measured first; anything else
+/// is read in chunks).
+std::vector<char> slurp(std::istream& in) {
+  std::vector<char> bytes;
+  const std::istream::pos_type start = in.tellg();
+  if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+    const std::istream::pos_type end = in.tellg();
+    in.seekg(start);
+    bytes.resize(static_cast<std::size_t>(end - start));
+    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    bytes.resize(static_cast<std::size_t>(in.gcount()));
+    return bytes;
+  }
+  in.clear();
+  char chunk[1 << 16];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + in.gcount());
+  }
+  return bytes;
+}
+
+/// Parses the fields after the version line; throws
+/// std::invalid_argument (unprefixed) on any malformed field.
+void decodeBody(util::ByteReader& r, CheckpointData& data) {
+  const auto fail = [](const std::string& why) {
+    throw std::invalid_argument(why);
+  };
+  data.policySpec = std::string(r.block());
+  data.numObjects = static_cast<int>(r.varint(kMaxInt, "numObjects"));
+  data.numNodes = static_cast<int>(r.varint(kMaxInt, "numNodes"));
+  data.numEdges = static_cast<int>(r.varint(kMaxInt, "numEdges"));
+  if (data.numObjects < 1 || data.numNodes < 1 ||
+      data.numEdges != data.numNodes - 1) {
+    fail("bad dims (a tree over numNodes nodes has numNodes - 1 edges)");
+  }
+  data.servedTotal = r.varint();
+  data.epochs = r.varint();
+  data.replacements = r.varint();
+  data.replications =
+      static_cast<core::Count>(r.varint(kMaxCount, "replications"));
+  data.invalidations =
+      static_cast<core::Count>(r.varint(kMaxCount, "invalidations"));
+  data.passesBegun = r.varint();
+  data.degradedEpochs = r.varint();
+  data.handoffRetries = r.varint();
+  data.checkpointsWritten = r.varint();
+  data.serveCongestionMark = r.f64();
+  data.lowerBoundMark = r.f64();
+  data.epochSize = r.varint();
+  if (data.epochSize < 1) fail("epoch size must be >= 1");
+  data.replaceDrift = r.f64();
+  // Each load is at least one byte: check the bytes are there before
+  // sizing the vectors.
+  const auto edges = static_cast<std::size_t>(data.numEdges);
+  if (2 * edges > r.remaining()) fail("load vectors exceed the input");
+  for (std::vector<core::Count>* loads : {&data.loads, &data.serveLoads}) {
+    loads->resize(edges);
+    for (core::Count& v : *loads) {
+      v = static_cast<core::Count>(r.varint(kMaxCount, "edge load"));
+    }
+  }
+  data.rows = std::string(r.block());
+  data.policyState = std::string(r.block());
+  r.finish();
 }
 
 }  // namespace
 
 void writeCheckpoint(const CheckpointData& data, std::ostream& os) {
-  const std::string payload = renderPayload(data);
-  os << payload << "checksum " << std::hex << fnv1a(payload) << std::dec
-     << '\n';
+  const std::string bytes = encode(data);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
 CheckpointData readCheckpoint(std::istream& in) {
-  // Slurp, split at the trailing checksum line, verify, then parse the
-  // payload — so truncation and corruption both fail before any field
-  // is half-applied.
-  std::ostringstream slurp;
-  slurp << in.rdbuf();
-  const std::string text = slurp.str();
-  const std::size_t mark = text.rfind("checksum ");
-  if (mark == std::string::npos || (mark != 0 && text[mark - 1] != '\n')) {
-    parseFail("missing checksum line (truncated file?)");
+  // Slurp, check the version line, verify the trailing checksum, then
+  // parse the body — so truncation and corruption both fail before any
+  // field is half-applied.
+  const std::vector<char> buffer = slurp(in);
+  const std::string_view bytes(buffer.data(), buffer.size());
+  if (!bytes.starts_with(kMagic)) parseFail("not a checkpoint file");
+  const std::size_t eol = bytes.find('\n', kMagic.size());
+  if (eol == std::string_view::npos || eol - kMagic.size() > 8) {
+    parseFail("not a checkpoint file (no version line)");
   }
-  const std::string payload = text.substr(0, mark);
-  std::uint64_t stored = 0;
-  {
-    std::istringstream tail(text.substr(mark));
-    std::string tag;
-    if (!(tail >> tag >> std::hex >> stored)) parseFail("bad checksum line");
+  const std::string_view version =
+      bytes.substr(kMagic.size(), eol - kMagic.size());
+  if (version != kVersion) {
+    parseFail("unsupported version 'v" + std::string(version) + "'");
   }
-  if (stored != fnv1a(payload)) {
-    parseFail("checksum mismatch (corrupted snapshot)");
+  constexpr std::size_t kTrailer = sizeof(std::uint64_t);
+  if (bytes.size() < eol + 1 + kTrailer) {
+    parseFail("truncated (no checksum)");
   }
-
-  std::istringstream is(payload);
-  std::string word, version;
-  if (!(is >> word >> version) || word != "hbn-checkpoint") {
-    parseFail("not a checkpoint file");
+  const std::string_view body = bytes.substr(0, bytes.size() - kTrailer);
+  util::ByteReader trailer(bytes.substr(body.size()));
+  if (trailer.u64() != util::fnv1a(body)) {
+    parseFail("checksum mismatch (corrupted or truncated snapshot)");
   }
-  if (version != "v1") parseFail("unsupported version '" + version + "'");
-
   CheckpointData data;
-  if (!(is >> word >> data.policySpec) || word != "policy") {
-    parseFail("bad policy line");
+  util::ByteReader r(body.substr(eol + 1));
+  try {
+    decodeBody(r, data);
+  } catch (const std::invalid_argument& e) {
+    parseFail(e.what());
   }
-  if (!(is >> word >> data.numObjects >> data.numNodes >> data.numEdges) ||
-      word != "dims" || data.numObjects < 1 || data.numNodes < 1 ||
-      data.numEdges < 0) {
-    parseFail("bad dims line");
-  }
-  if (!(is >> word >> data.servedTotal >> data.epochs >> data.replacements >>
-        data.replications >> data.invalidations >> data.passesBegun) ||
-      word != "progress") {
-    parseFail("bad progress line");
-  }
-  if (!(is >> word >> data.degradedEpochs >> data.handoffRetries >>
-        data.checkpointsWritten) ||
-      word != "stats") {
-    parseFail("bad stats line");
-  }
-  std::uint64_t serveMarkBits = 0;
-  std::uint64_t boundMarkBits = 0;
-  if (!(is >> word >> std::hex >> serveMarkBits >> boundMarkBits >>
-        std::dec) ||
-      word != "marks") {
-    parseFail("bad marks line");
-  }
-  data.serveCongestionMark = markValue(serveMarkBits);
-  data.lowerBoundMark = markValue(boundMarkBits);
-  readCounts(is, "loads", data.loads, data.numEdges);
-  readCounts(is, "serve-loads", data.serveLoads, data.numEdges);
-  data.workloadText = readBlock(is, "workload");
-  data.policyState = readBlock(is, "policy-state");
   return data;
 }
 

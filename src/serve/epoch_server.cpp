@@ -1,6 +1,9 @@
 #include "hbn/serve/epoch_server.h"
 
 #include <algorithm>
+#include <bit>
+#include <filesystem>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -11,6 +14,7 @@
 #include "hbn/core/parallel.h"
 #include "hbn/dynamic/harness.h"
 #include "hbn/serve/error.h"
+#include "hbn/util/bytes.h"
 #include "hbn/util/timer.h"
 #include "hbn/workload/serialize.h"
 
@@ -229,6 +233,8 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   report.degradedEpochs = degradedEpochs_;
   report.handoffRetries = handoffRetriesUsed_;
   report.checkpoints = checkpointsWritten_;
+  report.checkpointMs = checkpointMs_;
+  report.checkpointBytes = checkpointBytes_;
   report.policyMetrics = policy_->metrics();
   finishReport(report, total.millis(), epochMs, latency_);
   return report;
@@ -445,14 +451,18 @@ void EpochServer::retireAppliedPasses() {
 }
 
 void EpochServer::writeCheckpointAt(std::uint64_t epochs) {
+  util::Timer timer;
   try {
-    writeCheckpointFile(snapshotStateAt(epochs), options_.checkpointDir);
+    const std::string path =
+        writeCheckpointFile(snapshotStateAt(epochs), options_.checkpointDir);
+    checkpointBytes_ = std::filesystem::file_size(path);
   } catch (const Error&) {
     throw;
   } catch (const std::exception& e) {
     throw Error(Stage::Checkpoint, epochs == 0 ? 0 : epochs - 1, e.what());
   }
   ++checkpointsWritten_;
+  checkpointMs_ += timer.millis();
 }
 
 CheckpointData EpochServer::snapshotStateAt(std::uint64_t epochs) const {
@@ -482,10 +492,14 @@ CheckpointData EpochServer::snapshotStateAt(std::uint64_t epochs) const {
   data.loads.assign(loads_.edgeLoads().begin(), loads_.edgeLoads().end());
   data.serveLoads.assign(serveLoads_.edgeLoads().begin(),
                          serveLoads_.edgeLoads().end());
-  data.workloadText = workload::toText(aggregated_);
-  std::ostringstream policyState;
+  data.epochSize = options_.epochSize;
+  data.replaceDrift = options_.replaceDrift;
+  util::ByteWriter rows;
+  workload::encodeRows(aggregated_, rows);
+  data.rows = rows.take();
+  util::ByteWriter policyState;
   policy_->serializeState(policyState);
-  data.policyState = policyState.str();
+  data.policyState = policyState.take();
   return data;
 }
 
@@ -511,16 +525,43 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
     throw std::invalid_argument(
         "checkpoint: topology mismatch (objects/nodes/edges differ)");
   }
-  workload::Workload restored = workload::parseText(data.workloadText);
-  if (restored.numObjects() != numObjects_ ||
-      restored.numNodes() != tree.nodeCount()) {
-    throw std::invalid_argument("checkpoint: workload dims mismatch");
+  // The epoch boundaries and the drift trigger's schedule depend on
+  // these two knobs, so a restore under other values would serve a
+  // different run from the same state.
+  if (data.epochSize != options_.epochSize) {
+    throw std::invalid_argument(
+        "checkpoint: epoch size mismatch (snapshot " +
+        std::to_string(data.epochSize) + " vs server " +
+        std::to_string(options_.epochSize) + ")");
   }
-  // Policy state first: it is the most likely piece to fail validation,
-  // and nothing else has been mutated yet when it throws.
-  std::istringstream policyState(data.policyState);
-  policy_->restoreState(policyState);
-  aggregated_ = std::move(restored);
+  if (std::bit_cast<std::uint64_t>(data.replaceDrift) !=
+      std::bit_cast<std::uint64_t>(options_.replaceDrift)) {
+    std::ostringstream why;
+    why << "checkpoint: drift threshold mismatch (snapshot "
+        << data.replaceDrift << " vs server " << options_.replaceDrift
+        << ")";
+    throw std::invalid_argument(why.str());
+  }
+  // Decoded against this server's dims, so the rows allocate nothing
+  // beyond the matrix the server already holds.
+  const auto decode = [](std::string_view bytes, const auto& apply) {
+    util::ByteReader in(bytes);
+    try {
+      apply(in);
+      in.finish();
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string("checkpoint: ") + e.what());
+    }
+  };
+  std::optional<workload::Workload> restored;
+  decode(data.rows, [&](util::ByteReader& in) {
+    restored = workload::decodeRows(in, numObjects_, tree.nodeCount());
+  });
+  // Policy state next: nothing of the server has been mutated yet when
+  // it throws.
+  decode(data.policyState,
+         [&](util::ByteReader& in) { policy_->restoreState(in); });
+  aggregated_ = std::move(*restored);
   loads_.addEdgeLoads(data.loads);
   serveLoads_.addEdgeLoads(data.serveLoads);
   servedTotal_ = data.servedTotal;

@@ -1,9 +1,10 @@
 // Epoch-boundary checkpoint/restore for the serving engine.
 //
-// A checkpoint is a versioned text snapshot of everything EpochServer
+// A checkpoint is a versioned binary snapshot of everything EpochServer
 // needs to resume serving bit-identically: the aggregated frequency
 // matrix, cumulative edge loads (total and serve-only), the drift-
-// trigger marks, progress counters, and the policy's own serialized
+// trigger marks, progress counters, the epoch size and drift factor
+// the trigger schedule depends on, and the policy's own serialized
 // state (OnlinePolicy::serializeState — copy sets, read counters,
 // adaptive shadow scores). Checkpoints are only taken at epoch
 // boundaries after every pending §4 handoff pass has been drained, so
@@ -20,24 +21,23 @@
 // that many events (serve::skipRequests), which reconstructs the
 // generator state exactly without serializing engine internals.
 //
-// File format (hbn-checkpoint v1, docs/robustness.md):
+// File format (hbn-checkpoint v2, docs/robustness.md), written with
+// the shared byte codec (hbn/util/bytes.h):
 //
-//   hbn-checkpoint v1
-//   policy <canonical spec>
-//   dims <numObjects> <numNodes> <numEdges>
-//   progress <servedTotal> <epochs> <replacements> <replications>
-//            <invalidations> <passesBegun>
-//   stats <degradedEpochs> <handoffRetries> <checkpointsWritten>
-//   marks <serveCongestionMark> <lowerBoundMark>     (raw 64-bit patterns
-//                                                     in hex: doubles
-//                                                     round-trip exactly)
-//   loads <numEdges> <v...>
-//   serve-loads <numEdges> <v...>
-//   workload <bytes>
-//   <hbn-workload v1 text, exactly <bytes> bytes>
-//   policy-state <bytes>
-//   <policy block, exactly <bytes> bytes>
-//   checksum <fnv1a64-hex of everything above>
+//   "hbn-checkpoint v2\n"                      magic + version line
+//   policy spec                                 block
+//   numObjects numNodes numEdges                varints
+//   servedTotal epochs replacements replications
+//   invalidations passesBegun                   varints
+//   degradedEpochs handoffRetries
+//   checkpointsWritten                          varints
+//   serveCongestionMark lowerBoundMark          f64 (raw bits)
+//   epochSize                                   varint
+//   replaceDrift                                f64 (raw bits)
+//   loads, serve-loads                          numEdges varints each
+//   rows                                        block (workload::encodeRows)
+//   policy state                                block
+//   checksum                                    u64 FNV-1a of all above
 //
 // A directory of checkpoints holds checkpoint-<epochs>.hbn files plus a
 // LATEST file naming the newest one; writes go through a temporary file
@@ -70,18 +70,27 @@ struct CheckpointData {
   std::uint64_t checkpointsWritten = 0;
   double serveCongestionMark = 0.0;
   double lowerBoundMark = 0.0;
+  /// The serving knobs the epoch boundaries and the drift trigger
+  /// depend on; a restore under other values would serve differently.
+  std::uint64_t epochSize = 0;
+  double replaceDrift = 0.0;
   std::vector<core::Count> loads;       ///< per-edge cumulative loads
   std::vector<core::Count> serveLoads;  ///< serve-only (drift input)
-  std::string workloadText;             ///< hbn-workload v1 text
-  std::string policyState;              ///< OnlinePolicy::serializeState
+  std::string rows;         ///< workload::encodeRows of the frequencies
+  std::string policyState;  ///< OnlinePolicy::serializeState bytes
 };
 
-/// Serializes `data` (including the trailing checksum line).
+/// Serializes `data` (including the trailing checksum).
 void writeCheckpoint(const CheckpointData& data, std::ostream& os);
 
 /// Parses and checksum-verifies a checkpoint; throws
 /// std::invalid_argument naming the defect on any corruption,
-/// truncation, or version mismatch.
+/// truncation, or version mismatch (a v1 text checkpoint is an
+/// unsupported version). Allocates in proportion to the input only: a
+/// count or length prefix is checked against the bytes that remain
+/// before anything is sized by it. The rows and policy blocks are kept
+/// as bytes, decoded by EpochServer::restoreFrom against the server's
+/// own dimensions.
 [[nodiscard]] CheckpointData readCheckpoint(std::istream& in);
 
 /// Writes `data` into `dir` (created if missing) as

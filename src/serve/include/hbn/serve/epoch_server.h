@@ -108,7 +108,7 @@ struct ServeOptions {
   /// Reservoir capacity for run-level request-latency sampling;
   /// 0 disables latency percentiles.
   std::size_t latencySample = 4096;
-  /// Directory for epoch-boundary checkpoints (hbn-checkpoint v1, see
+  /// Directory for epoch-boundary checkpoints (hbn-checkpoint v2, see
   /// hbn/serve/checkpoint.h); empty disables checkpointing. A
   /// checkpoint drains every pending handoff pass first, so restoring
   /// it plus re-serving the rest of the stream is bit-identical to an
@@ -218,6 +218,12 @@ struct ServeReport {
   std::uint64_t degradedEpochs = 0;
   std::uint64_t handoffRetries = 0;
   std::uint64_t checkpoints = 0;
+  /// Checkpoint cost over this server's lifetime (wall-clock, so not
+  /// restored and never part of a digest): total milliseconds spent
+  /// writing checkpoints (snapshot, encode, file write and publish),
+  /// and the size of the last checkpoint file written (0 before any).
+  double checkpointMs = 0.0;
+  std::uint64_t checkpointBytes = 0;
 };
 
 /// Finishes a run's report the same way in both engines: throughput,
@@ -301,7 +307,9 @@ class EpochServer {
   [[nodiscard]] CheckpointData snapshotState() const;
 
   /// Rebuilds the server from a checkpoint taken by an identically
-  /// configured server (same topology, objects, canonical policy spec).
+  /// configured server (same topology, objects, canonical policy spec,
+  /// epoch size and drift factor — a mismatch in any is named in the
+  /// std::invalid_argument it throws).
   /// Only valid on a fresh server that has not served anything; throws
   /// std::logic_error when it has, std::invalid_argument when the
   /// checkpoint does not match this server. The request stream is NOT
@@ -434,6 +442,8 @@ class EpochServer {
   std::uint64_t degradedEpochs_ = 0;
   std::uint64_t handoffRetriesUsed_ = 0;
   std::uint64_t checkpointsWritten_ = 0;
+  double checkpointMs_ = 0.0;
+  std::uint64_t checkpointBytes_ = 0;
   /// Run-level request-latency reservoir (persists across serve calls).
   util::ReservoirSampler latency_;
 };

@@ -16,7 +16,7 @@ namespace {
 
 std::string encodeEpochPayload(std::uint64_t epoch,
                                std::span<const workload::RequestEvent> events) {
-  WireWriter w;
+  util::ByteWriter w;
   w.u64(epoch);
   w.u64(events.size());
   for (const workload::RequestEvent& ev : events) {

@@ -16,23 +16,22 @@
 // serve::Error{Stage::Frame}; a connection that closes cleanly between
 // frames is Stage::Peer (see hbn/shard/transport.h).
 //
-// Payload encoding is the minimal WireWriter/WireReader pair below:
-// fixed-width little-endian integers, doubles as their IEEE-754 bit
-// pattern, strings as u64 length + bytes. Message structs (Hello,
-// Epoch, Stats, ...) each provide encode()/decode; decode throws
-// std::runtime_error on truncated or out-of-range input, which the
-// transport layer attributes to Stage::Frame.
+// Payloads are written with the shared byte codec (util::ByteWriter /
+// util::ByteReader, hbn/util/bytes.h): fixed-width little-endian
+// integers, doubles as their IEEE-754 bit pattern, strings as u64
+// length + bytes. Message structs (Hello, Epoch, Stats, ...) each
+// provide encode()/decode; decode throws std::invalid_argument on
+// truncated or out-of-range input, which the transport layer
+// attributes to Stage::Frame.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "hbn/util/bytes.h"
 #include "hbn/workload/workload.h"
 
 namespace hbn::shard {
@@ -62,98 +61,6 @@ enum class FrameType : std::uint32_t {
 };
 
 [[nodiscard]] const char* frameTypeName(FrameType type) noexcept;
-
-/// FNV-1a over `bytes` — the frame checksum.
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes) noexcept;
-
-/// Appends little-endian fields to a byte string.
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) { appendLe(v); }
-  void u64(std::uint64_t v) { appendLe(v); }
-  void i32(std::int32_t v) { appendLe(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { appendLe(static_cast<std::uint64_t>(v)); }
-  void f64(double v) { appendLe(std::bit_cast<std::uint64_t>(v)); }
-  void str(std::string_view v) {
-    u64(v.size());
-    out_.append(v);
-  }
-
-  [[nodiscard]] std::string take() { return std::move(out_); }
-
- private:
-  template <typename T>
-  void appendLe(T v) {
-    char bytes[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    }
-    out_.append(bytes, sizeof(T));
-  }
-
-  std::string out_;
-};
-
-/// Reads little-endian fields off a byte string; throws
-/// std::runtime_error on underflow or an out-of-range length.
-class WireReader {
- public:
-  explicit WireReader(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-  [[nodiscard]] std::uint32_t u32() { return readLe<std::uint32_t>(); }
-  [[nodiscard]] std::uint64_t u64() { return readLe<std::uint64_t>(); }
-  [[nodiscard]] std::int32_t i32() {
-    return static_cast<std::int32_t>(readLe<std::uint32_t>());
-  }
-  [[nodiscard]] std::int64_t i64() {
-    return static_cast<std::int64_t>(readLe<std::uint64_t>());
-  }
-  [[nodiscard]] double f64() {
-    return std::bit_cast<double>(readLe<std::uint64_t>());
-  }
-  [[nodiscard]] std::string str() {
-    const std::uint64_t n = u64();
-    if (n > bytes_.size() - pos_) {
-      throw std::runtime_error("wire: string length exceeds payload");
-    }
-    std::string s(bytes_.substr(pos_, static_cast<std::size_t>(n)));
-    pos_ += static_cast<std::size_t>(n);
-    return s;
-  }
-  /// Every payload byte must be consumed — trailing garbage means the
-  /// two sides disagree about the message layout.
-  void finish() const {
-    if (pos_ != bytes_.size()) {
-      throw std::runtime_error("wire: trailing bytes in payload");
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (n > bytes_.size() - pos_) {
-      throw std::runtime_error("wire: truncated payload");
-    }
-  }
-  template <typename T>
-  [[nodiscard]] T readLe() {
-    need(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<std::uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
 
 /// Coordinator -> worker: the run configuration. The worker rebuilds
 /// the full serving stack (tree, policy, partition) from this one

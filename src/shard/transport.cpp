@@ -150,14 +150,14 @@ class SocketChannel final : public ByteChannel {
 
 std::string FramedTransport::encodeFrame(FrameType type,
                                          std::string_view payload) {
-  WireWriter header;
+  util::ByteWriter header;
   header.u32(kFrameMagic);
   header.u32(static_cast<std::uint32_t>(type));
   header.u64(payload.size());
   std::string frame = header.take();
   frame.append(payload);
-  WireWriter trailer;
-  trailer.u64(fnv1a(payload));
+  util::ByteWriter trailer;
+  trailer.u64(util::fnv1a(payload));
   frame.append(trailer.take());
   return frame;
 }
@@ -206,7 +206,7 @@ void FramedTransport::readExact(void* dst, std::size_t n, double timeoutMs,
 Frame FramedTransport::recv(double timeoutMs) {
   char header[kFrameHeaderBytes];
   readExact(header, sizeof(header), timeoutMs, /*atFrameStart=*/true);
-  WireReader r(std::string_view(header, sizeof(header)));
+  util::ByteReader r(std::string_view(header, sizeof(header)));
   const std::uint32_t magic = r.u32();
   const std::uint32_t type = r.u32();
   const std::uint64_t payloadLen = r.u64();
@@ -233,9 +233,9 @@ Frame FramedTransport::recv(double timeoutMs) {
   }
   char trailer[kFrameTrailerBytes];
   readExact(trailer, sizeof(trailer), timeoutMs, /*atFrameStart=*/false);
-  WireReader t(std::string_view(trailer, sizeof(trailer)));
+  util::ByteReader t(std::string_view(trailer, sizeof(trailer)));
   const std::uint64_t checksum = t.u64();
-  if (checksum != fnv1a(frame.payload)) {
+  if (checksum != util::fnv1a(frame.payload)) {
     throw serve::Error(serve::Stage::Frame, epoch_,
                        std::string("checksum mismatch on ") +
                            frameTypeName(frame.type) + " frame");

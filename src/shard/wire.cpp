@@ -1,6 +1,7 @@
 #include "hbn/shard/wire.h"
 
 #include <limits>
+#include <stdexcept>
 
 namespace hbn::shard {
 
@@ -19,17 +20,8 @@ const char* frameTypeName(FrameType type) noexcept {
   return "unknown";
 }
 
-std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 std::string HelloMsg::encode() const {
-  WireWriter w;
+  util::ByteWriter w;
   w.u32(protocolVersion);
   w.i32(shardId);
   w.i32(shardCount);
@@ -44,7 +36,7 @@ std::string HelloMsg::encode() const {
 }
 
 HelloMsg HelloMsg::decode(std::string_view payload) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   HelloMsg m;
   m.protocolVersion = r.u32();
   m.shardId = r.i32();
@@ -61,7 +53,7 @@ HelloMsg HelloMsg::decode(std::string_view payload) {
 }
 
 std::string EpochMsg::encode() const {
-  WireWriter w;
+  util::ByteWriter w;
   w.u64(epoch);
   w.u64(events.size());
   for (const workload::RequestEvent& ev : events) {
@@ -73,13 +65,13 @@ std::string EpochMsg::encode() const {
 }
 
 EpochMsg EpochMsg::decode(std::string_view payload) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   EpochMsg m;
   m.epoch = r.u64();
   const std::uint64_t count = r.u64();
   // 9 bytes per event: a count that cannot fit the payload is corrupt.
   if (count > payload.size() / 9) {
-    throw std::runtime_error("wire: epoch event count exceeds payload");
+    throw std::invalid_argument("wire: epoch event count exceeds payload");
   }
   m.events.resize(static_cast<std::size_t>(count));
   for (workload::RequestEvent& ev : m.events) {
@@ -93,16 +85,16 @@ EpochMsg EpochMsg::decode(std::string_view payload) {
 
 namespace {
 
-void encodeLoads(WireWriter& w, const std::vector<std::int64_t>& loads) {
+void encodeLoads(util::ByteWriter& w, const std::vector<std::int64_t>& loads) {
   w.u64(loads.size());
   for (const std::int64_t v : loads) w.i64(v);
 }
 
-std::vector<std::int64_t> decodeLoads(WireReader& r,
+std::vector<std::int64_t> decodeLoads(util::ByteReader& r,
                                       std::size_t payloadSize) {
   const std::uint64_t count = r.u64();
   if (count > payloadSize / 8) {
-    throw std::runtime_error("wire: load vector length exceeds payload");
+    throw std::invalid_argument("wire: load vector length exceeds payload");
   }
   std::vector<std::int64_t> loads(static_cast<std::size_t>(count));
   for (std::int64_t& v : loads) v = r.i64();
@@ -112,7 +104,7 @@ std::vector<std::int64_t> decodeLoads(WireReader& r,
 }  // namespace
 
 std::string StatsMsg::encode() const {
-  WireWriter w;
+  util::ByteWriter w;
   w.u64(epoch);
   w.f64(lowerBound);
   w.f64(busyMs);
@@ -125,7 +117,7 @@ std::string StatsMsg::encode() const {
 }
 
 StatsMsg StatsMsg::decode(std::string_view payload) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   StatsMsg m;
   m.epoch = r.u64();
   m.lowerBound = r.f64();
@@ -140,14 +132,14 @@ StatsMsg StatsMsg::decode(std::string_view payload) {
 }
 
 std::string DecideMsg::encode() const {
-  WireWriter w;
+  util::ByteWriter w;
   w.u64(epoch);
   w.u8(replace);
   return w.take();
 }
 
 DecideMsg DecideMsg::decode(std::string_view payload) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   DecideMsg m;
   m.epoch = r.u64();
   m.replace = r.u8();
@@ -156,7 +148,7 @@ DecideMsg DecideMsg::decode(std::string_view payload) {
 }
 
 std::string MigrateMsg::encode() const {
-  WireWriter w;
+  util::ByteWriter w;
   w.u64(epoch);
   w.f64(busyMs);
   encodeLoads(w, loads);
@@ -164,7 +156,7 @@ std::string MigrateMsg::encode() const {
 }
 
 MigrateMsg MigrateMsg::decode(std::string_view payload) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   MigrateMsg m;
   m.epoch = r.u64();
   m.busyMs = r.f64();
@@ -174,7 +166,7 @@ MigrateMsg MigrateMsg::decode(std::string_view payload) {
 }
 
 std::string FinAckMsg::encode() const {
-  WireWriter w;
+  util::ByteWriter w;
   w.u64(requests);
   w.f64(busyMs);
   w.i64(replications);
@@ -188,7 +180,7 @@ std::string FinAckMsg::encode() const {
 }
 
 FinAckMsg FinAckMsg::decode(std::string_view payload) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   FinAckMsg m;
   m.requests = r.u64();
   m.busyMs = r.f64();
@@ -196,7 +188,7 @@ FinAckMsg FinAckMsg::decode(std::string_view payload) {
   m.invalidations = r.i64();
   const std::uint64_t count = r.u64();
   if (count > payload.size() / 16) {
-    throw std::runtime_error("wire: metric count exceeds payload");
+    throw std::invalid_argument("wire: metric count exceeds payload");
   }
   for (std::uint64_t i = 0; i < count; ++i) {
     std::string key = r.str();
@@ -208,7 +200,7 @@ FinAckMsg FinAckMsg::decode(std::string_view payload) {
 }
 
 std::string ErrorMsg::encode() const {
-  WireWriter w;
+  util::ByteWriter w;
   w.u32(stage);
   w.u64(epoch);
   w.str(cause);
@@ -216,7 +208,7 @@ std::string ErrorMsg::encode() const {
 }
 
 ErrorMsg ErrorMsg::decode(std::string_view payload) {
-  WireReader r(payload);
+  util::ByteReader r(payload);
   ErrorMsg m;
   m.stage = r.u32();
   m.epoch = r.u64();

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 
+#include "hbn/util/bytes.h"
 #include "hbn/workload/workload.h"
 
 namespace hbn::workload {
@@ -26,6 +27,28 @@ void writeText(const Workload& load, std::ostream& os);
 /// Parses the text representation; throws std::invalid_argument on any
 /// syntax or range error.
 [[nodiscard]] Workload parseText(std::string_view text);
+
+// ---------------------------------------------------------------------------
+// Binary rows (the rows block of an epoch-boundary checkpoint,
+// hbn/serve/checkpoint.h). Per object, in id order, as varints:
+//
+//   <nonzero nodes n> then n × (<node delta> <reads> <writes>)
+//
+// A node is a nonzero entry when its reads or writes are; the delta is
+// the gap to the previous entry's node (the first entry's is its node
+// id). The dims are not written: the decoder is handed them, so it
+// allocates only the matrix its caller already sized.
+// ---------------------------------------------------------------------------
+
+/// Appends `load`'s rows to `out`.
+void encodeRows(const Workload& load, util::ByteWriter& out);
+
+/// Decodes rows written by encodeRows into a numObjects × numNodes
+/// workload. Throws std::invalid_argument on a truncated row, an entry
+/// count above numNodes, a node out of range, an empty entry, or counts
+/// whose sum over the matrix exceeds the Count range.
+[[nodiscard]] Workload decodeRows(util::ByteReader& in, int numObjects,
+                                  int numNodes);
 
 // ---------------------------------------------------------------------------
 // Request traces (round-trip exactly, order-preserving):

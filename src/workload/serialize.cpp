@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -20,9 +21,8 @@ void appendInt(std::string& out, std::int64_t value) {
 
 std::string toText(const Workload& load) {
   // Built with to_chars into one reserved string rather than through an
-  // ostream: rendering is the dominant cost of an epoch-boundary
-  // checkpoint (hbn/serve/checkpoint.h), and per-value operator<< was
-  // most of it. The bytes produced are identical to the ostream form.
+  // ostream (per-value operator<< was most of its cost). The bytes
+  // produced are identical to the ostream form.
   std::string out;
   out.reserve(64 + static_cast<std::size_t>(load.numObjects()) *
                        static_cast<std::size_t>(load.numNodes()) * 16);
@@ -92,6 +92,63 @@ Workload parseText(std::string_view text) {
     } else {
       throw std::invalid_argument("parseText: unknown keyword '" + keyword +
                                   "'");
+    }
+  }
+  return load;
+}
+
+void encodeRows(const Workload& load, util::ByteWriter& out) {
+  for (ObjectId x = 0; x < load.numObjects(); ++x) {
+    const std::span<const Count> reads = load.readRow(x);
+    const std::span<const Count> writes = load.writeRow(x);
+    std::uint64_t nonzero = 0;
+    for (std::size_t v = 0; v < reads.size(); ++v) {
+      if (reads[v] != 0 || writes[v] != 0) ++nonzero;
+    }
+    out.varint(nonzero);
+    std::size_t next = 0;  // the first node a delta of 0 names
+    for (std::size_t v = 0; v < reads.size(); ++v) {
+      if (reads[v] == 0 && writes[v] == 0) continue;
+      out.varint(v - next);
+      out.varint(static_cast<std::uint64_t>(reads[v]));
+      out.varint(static_cast<std::uint64_t>(writes[v]));
+      next = v + 1;
+    }
+  }
+}
+
+Workload decodeRows(util::ByteReader& in, int numObjects, int numNodes) {
+  const auto fail = [](const std::string& why) {
+    throw std::invalid_argument("rows: " + why);
+  };
+  constexpr auto kMaxCount =
+      static_cast<std::uint64_t>(std::numeric_limits<Count>::max());
+  const auto nodes = static_cast<std::uint64_t>(numNodes);
+  Workload load(numObjects, numNodes);
+  // Every count, and so every partial sum a consumer forms (object
+  // totals, subtree sums, the lower bound's minima), stays below the
+  // matrix total, which is kept inside the Count range.
+  std::uint64_t total = 0;
+  const auto count = [&](const char* what) {
+    const std::uint64_t value = in.varint();
+    if (value > kMaxCount - total) fail(std::string(what) + " overflows");
+    total += value;
+    return static_cast<Count>(value);
+  };
+  for (ObjectId x = 0; x < numObjects; ++x) {
+    const std::uint64_t entries = in.varint();
+    if (entries > nodes) fail("entry count out of range");
+    std::uint64_t next = 0;
+    for (std::uint64_t i = 0; i < entries; ++i) {
+      const std::uint64_t delta = in.varint();
+      if (delta >= nodes - next) fail("node out of range");
+      const auto v = static_cast<net::NodeId>(next + delta);
+      const Count reads = count("read count");
+      const Count writes = count("write count");
+      if (reads == 0 && writes == 0) fail("empty entry");
+      load.setReads(x, v, reads);
+      load.setWrites(x, v, writes);
+      next = next + delta + 1;
     }
   }
   return load;

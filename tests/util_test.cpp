@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "hbn/util/alias.h"
+#include "hbn/util/bytes.h"
 #include "hbn/util/rng.h"
 #include "hbn/util/stats.h"
 #include "hbn/util/table.h"
@@ -336,6 +339,91 @@ TEST(AliasTable, RejectsDegenerateInput) {
                std::invalid_argument);
   EXPECT_THROW(AliasTable(std::vector<double>{1.0, -2.0}),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The byte codec: fixed-width and varint round trips, and the reader's
+// rejections of truncated, over-long and oversized input.
+// ---------------------------------------------------------------------------
+
+TEST(Bytes, FieldsRoundTrip) {
+  const std::uint64_t varints[] = {
+      0,   1,       127, 128, 16383, 16384, std::uint64_t{1} << 35,
+      (std::uint64_t{1} << 63) - 1, std::uint64_t{1} << 63,
+      std::numeric_limits<std::uint64_t>::max()};
+  ByteWriter w;
+  w.u8(7);
+  w.u32(0xdeadbeef);
+  w.i64(-5);
+  w.f64(-0.1);
+  for (const std::uint64_t v : varints) w.varint(v);
+  w.str("wire");
+  w.block("block");
+  const std::string bytes = w.take();
+  ByteReader r(bytes);
+  EXPECT_EQ(r.u8(), 7u);
+  EXPECT_EQ(r.u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.i64(), -5);
+  EXPECT_EQ(r.f64(), -0.1);
+  for (const std::uint64_t v : varints) EXPECT_EQ(r.varint(), v);
+  EXPECT_EQ(r.str(), "wire");
+  EXPECT_EQ(r.block(), "block");
+  EXPECT_NO_THROW(r.finish());
+}
+
+TEST(Bytes, VarintLengthsAreMinimal) {
+  const auto length = [](std::uint64_t v) {
+    ByteWriter w;
+    w.varint(v);
+    return w.view().size();
+  };
+  EXPECT_EQ(length(0), 1u);
+  EXPECT_EQ(length(127), 1u);
+  EXPECT_EQ(length(128), 2u);
+  EXPECT_EQ(length(std::numeric_limits<std::uint64_t>::max()), 10u);
+}
+
+TEST(Bytes, ReaderRejectsMalformedVarints) {
+  const auto reject = [](const std::string& bytes) {
+    ByteReader r(bytes);
+    EXPECT_THROW((void)r.varint(), std::invalid_argument);
+  };
+  reject("");                               // nothing there
+  reject("\x80");                           // continuation, then the end
+  reject("\xff\xff");                       // truncated mid-value
+  reject(std::string(10, '\xff') + "\x01");  // eleven bytes
+  reject(std::string(9, '\xff') + "\x02");   // bit 64 set
+  reject("\x80\x00");                       // non-minimal zero
+  reject("\xff\x00");                       // non-minimal 127
+}
+
+TEST(Bytes, ReaderRejectsOversizedPrefixesBeforeAllocating) {
+  ByteWriter w;
+  w.varint(1000);  // claims 1000 bytes, 3 follow
+  w.raw("abc");
+  const std::string block = w.take();
+  ByteReader blocks(block);
+  EXPECT_THROW((void)blocks.block(), std::invalid_argument);
+
+  ByteWriter s;
+  s.u64(std::numeric_limits<std::uint64_t>::max());
+  const std::string str = s.take();
+  ByteReader strings(str);
+  EXPECT_THROW((void)strings.str(), std::invalid_argument);
+
+  ByteReader bounded(std::string_view("\x05"));
+  EXPECT_THROW((void)bounded.varint(4, "field"), std::invalid_argument);
+  ByteReader fixed(std::string_view("\x01\x02\x03"));
+  EXPECT_THROW((void)fixed.u32(), std::invalid_argument);
+  ByteReader trailing(std::string_view("\x01\x02"));
+  (void)trailing.u8();
+  EXPECT_THROW(trailing.finish(), std::invalid_argument);
+}
+
+TEST(Bytes, Fnv1aMatchesReferenceVectors) {
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
 }
 
 }  // namespace

@@ -1,4 +1,6 @@
 // Round-trip and error-path tests for workload serialisation.
+#include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -7,6 +9,8 @@
 
 #include "hbn/net/generators.h"
 #include "hbn/workload/generators.h"
+#include "hbn/util/bytes.h"
+#include "hbn/util/rng.h"
 #include "hbn/workload/serialize.h"
 
 namespace hbn::workload {
@@ -138,6 +142,66 @@ TEST(TraceSerialize, BlankLinesAreSkipped) {
   ASSERT_TRUE(reader.next(ev));
   EXPECT_EQ(ev.origin, 1);
   EXPECT_FALSE(reader.next(ev));
+}
+
+// ---------------------------------------------------------------------------
+// Binary rows (the checkpoint's rows block).
+// ---------------------------------------------------------------------------
+
+Workload decodeAll(const std::string& bytes, int objects, int nodes) {
+  util::ByteReader in(bytes);
+  Workload load = decodeRows(in, objects, nodes);
+  in.finish();
+  return load;
+}
+
+TEST(WorkloadRows, RoundTripGeneratedProfiles) {
+  util::Rng rng(57);
+  const net::Tree t = net::makeKaryTree(3, 2);
+  for (int p = 0; p < 6; ++p) {
+    GenParams params;
+    params.numObjects = 6;
+    params.requestsPerProcessor = 20;
+    Workload w = generate(static_cast<Profile>(p), t, params, rng);
+    w.addReads(0, t.nodeCount() - 1, 1'000'000'000'000);  // a long varint
+    util::ByteWriter out;
+    encodeRows(w, out);
+    const Workload back = decodeAll(out.take(), w.numObjects(), w.numNodes());
+    EXPECT_EQ(toText(back), toText(w)) << profileName(static_cast<Profile>(p));
+  }
+}
+
+TEST(WorkloadRows, EmptyRowsAreOneBytePerObject) {
+  util::ByteWriter out;
+  encodeRows(Workload(5, 9), out);
+  EXPECT_EQ(out.view().size(), 5u);
+  EXPECT_EQ(decodeAll(out.take(), 5, 9).grandTotal(), 0);
+}
+
+TEST(WorkloadRows, DecoderRangeChecksEveryField) {
+  const auto rows = [](std::initializer_list<std::uint64_t> varints) {
+    util::ByteWriter out;
+    for (const std::uint64_t v : varints) out.varint(v);
+    return out.take();
+  };
+  const auto reject = [](const std::string& bytes, const char* why) {
+    try {
+      (void)decodeAll(bytes, 1, 4);
+      ADD_FAILURE() << "accepted rows that should fail with '" << why << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  EXPECT_EQ(decodeAll(rows({2, 1, 3, 0, 1, 0, 2}), 1, 4).writes(0, 3), 2);
+  reject(rows({5}), "entry count out of range");
+  reject(rows({1, 4, 1, 0}), "node out of range");
+  reject(rows({2, 3, 1, 0, 0, 1, 0}), "node out of range");  // past the end
+  reject(rows({1, 0, 0, 0}), "empty entry");
+  reject(rows({2, 0, std::uint64_t{1} << 62, 0, 0, std::uint64_t{1} << 62,
+               0}),
+         "overflows");
+  reject(rows({2, 0, 1, 0}), "truncated");
 }
 
 }  // namespace

@@ -57,10 +57,12 @@ struct ServeCli {
   std::string stream = "skewed";
   std::uint64_t requests = 1'000'000;
   std::size_t epoch = 1 << 16;
+  bool epochSet = false;        ///< --epoch given (else a restore's value)
   int objects = 1024;
   int clusters = 4;
   int procs = 8;                ///< processors per cluster
   double drift = 3.0;
+  bool driftSet = false;        ///< --drift given (else a restore's value)
   bool pipeline = true;            ///< pipelined (vs barrier) engine
   std::size_t latencySample = 4096;  ///< latency reservoir capacity
   double reads = 0.9;              ///< stream read fraction
@@ -124,6 +126,7 @@ ServeCli parseServeCli(int argc, char** argv) {
           hbn::engine::parseUintFlag(arg, value(arg));
       if (epoch < 1) throw std::invalid_argument("--epoch expects >= 1");
       cli.epoch = static_cast<std::size_t>(epoch);
+      cli.epochSet = true;
     } else if (arg == "--objects") {
       cli.objects = static_cast<int>(
           hbn::engine::parseUintFlag(arg, value(arg), kMaxInt));
@@ -145,6 +148,7 @@ ServeCli parseServeCli(int argc, char** argv) {
       cli.listPolicies = true;
     } else if (arg == "--drift") {
       cli.drift = parseDoubleFlag(arg, value(arg), 0.0, 1e9);
+      cli.driftSet = true;
     } else if (arg == "--pipeline" || arg.rfind("--pipeline=", 0) == 0) {
       const std::string mode =
           arg == "--pipeline" ? value(arg) : arg.substr(11);
@@ -242,13 +246,15 @@ void printUsage(std::ostream& os) {
         "  --latency-sample N  request-latency reservoir capacity for the\n"
         "                    p50/p99/p999 metrics; 0 disables (default 4096)\n"
         "  --checkpoint-dir D  write epoch-boundary checkpoints\n"
-        "                    (hbn-checkpoint v1) into D; restore with\n"
-        "                    --restore D after a crash\n"
+        "                    (hbn-checkpoint v2, binary) into D; restore\n"
+        "                    with --restore D after a crash\n"
         "  --checkpoint-every K  epochs between checkpoints (default 1)\n"
         "  --restore D       resume from the latest checkpoint in D (the\n"
         "                    stream is rebuilt and the served prefix\n"
         "                    skipped; the resumed run's final state is\n"
-        "                    bit-identical to an uninterrupted one)\n"
+        "                    bit-identical to an uninterrupted one).\n"
+        "                    --policy, --epoch and --drift default to the\n"
+        "                    checkpoint's; a conflicting value exits 14\n"
         "  --inject SPEC     arm a deterministic fault (repeatable):\n"
         "                    ingest-stall@epochN[:ms=T] |\n"
         "                    shard-throw@epochN[:shardM] |\n"
@@ -337,8 +343,9 @@ int main(int argc, char** argv) {
           "features (see docs/sharding.md)");
     }
     // When resuming, load the snapshot before anything else: it decides
-    // the policy (absent --policy/--threshold) and the object count for
-    // generated streams, so a bare `--restore D` resumes faithfully.
+    // the policy (absent --policy/--threshold), the epoch size and drift
+    // factor (absent --epoch/--drift) and the object count for generated
+    // streams, so a bare `--restore D` resumes faithfully.
     std::optional<serve::CheckpointData> restored;
     if (!cli.restoreDir.empty()) {
       try {
@@ -384,9 +391,11 @@ int main(int argc, char** argv) {
     }
 
     serve::ServeOptions options;
-    options.epochSize = cli.epoch;
+    options.epochSize =
+        restored && !cli.epochSet ? restored->epochSize : cli.epoch;
     options.threads = cli.shared.threads;
-    options.replaceDrift = cli.drift;
+    options.replaceDrift =
+        restored && !cli.driftSet ? restored->replaceDrift : cli.drift;
     options.policy = policySpec;
     options.pipeline = cli.pipeline;
     options.latencySample = cli.latencySample;
@@ -407,9 +416,10 @@ int main(int argc, char** argv) {
                                       : "trace " + cli.trace)
                 << " over " << tree.processorCount() << " processors, "
                 << numObjects << " objects" << workers
-                << " (policy=" << policySpec << ", epoch=" << cli.epoch
+                << " (policy=" << policySpec
+                << ", epoch=" << options.epochSize
                 << ", threads=" << options.threads << ", seed=" << seed
-                << ", drift=" << cli.drift
+                << ", drift=" << options.replaceDrift
                 << ", pipeline=" << (cli.pipeline ? "on" : "off");
       if (sharded) {
         std::cout << ", transport=" << cli.transport
@@ -512,8 +522,13 @@ int main(int argc, char** argv) {
       std::cout << "serve-worker request imbalance (max/mean, epoch median) "
                 << util::formatDouble(report.workerImbalance, 2) << "\n";
     }
-    std::cout << report.checkpoints << " checkpoints, "
-              << report.degradedEpochs << " degraded epochs, "
+    std::cout << report.checkpoints << " checkpoints";
+    if (report.checkpointBytes > 0) {  // this process wrote one
+      std::cout << " (" << util::formatDouble(report.checkpointMs, 1)
+                << " ms writing, last " << report.checkpointBytes
+                << " bytes)";
+    }
+    std::cout << ", " << report.degradedEpochs << " degraded epochs, "
               << report.handoffRetries << " handoff retries\n";
     if (options.faults && options.faults->triggered() > 0) {
       std::cout << options.faults->triggered() << " faults injected\n";
@@ -600,6 +615,8 @@ int main(int argc, char** argv) {
       records.field("degraded_epochs", report.degradedEpochs);
       records.field("handoff_retries", report.handoffRetries);
       records.field("checkpoints", report.checkpoints);
+      records.field("checkpoint_ms", report.checkpointMs);
+      records.field("checkpoint_bytes", report.checkpointBytes);
       records.field("seed", seed);
       records.field("threads", options.threads);
       if (sharded) {
