@@ -29,8 +29,8 @@ class AblationExperiment final : public engine::Experiment {
 
   [[nodiscard]] std::string_view name() const override { return "ablation"; }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(10);
     const int kTrials =
         trialsOverride_ > 0 ? trialsOverride_ : ctx.trials(12);
@@ -112,12 +112,10 @@ class AblationExperiment final : public engine::Experiment {
     table.print(ctx.os());
     ctx.os() << "\n(the paper's configuration must show 0 forced moves and "
                 "tau_max <= 3*kappa_max; ablations may not)\n";
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "the paper's configuration forces no mapping moves and "
-                   "keeps tau_max <= 3*kappa_max (Lemma 4.1)");
-    reporter.field("held", paperConfigClean);
-    return paperConfigClean;
+    reporter.check(
+        "the paper's configuration forces no mapping moves and keeps tau_max "
+        "<= 3*kappa_max (Lemma 4.1)",
+        paperConfigClean);
   }
 
  private:

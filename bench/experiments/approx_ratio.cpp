@@ -27,8 +27,8 @@ class ApproxRatioExperiment final : public engine::Experiment {
     return "approx-ratio";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(20000701);  // SPAA 2000
     const int kTrials =
         trialsOverride_ > 0 ? trialsOverride_ : ctx.trials(8);
@@ -108,11 +108,9 @@ class ApproxRatioExperiment final : public engine::Experiment {
              << (withinBound ? "  (within the Theorem 4.3 bound of 7)"
                              : "  (BOUND VIOLATED!)")
              << "\n";
-    reporter.beginRow("check");
-    reporter.field("claim", "congestion/lower-bound <= 7 (Theorem 4.3)");
-    reporter.field("value", globalMax);
-    reporter.field("held", withinBound);
-    return withinBound;
+    reporter.check(
+        "congestion/lower-bound <= 7 (Theorem 4.3)",
+        withinBound, globalMax);
   }
 
  private:

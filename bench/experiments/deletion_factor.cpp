@@ -27,8 +27,8 @@ class DeletionFactorExperiment final : public engine::Experiment {
     return "deletion-factor";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(5);
     const int kTrials =
         trialsOverride_ > 0 ? trialsOverride_ : ctx.trials(12);
@@ -118,12 +118,10 @@ class DeletionFactorExperiment final : public engine::Experiment {
     table.print(ctx.os());
     ctx.os() << "\nall Observation 3.2 bounds held: "
              << (withinBounds ? "yes" : "NO — BUG") << "\n";
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "copy loads in [kappa, 2*kappa] and edge growth <= "
-                   "kappa (Observation 3.2)");
-    reporter.field("held", withinBounds);
-    return withinBounds;
+    reporter.check(
+        "copy loads in [kappa, 2*kappa] and edge growth <= kappa (Observation "
+        "3.2)",
+        withinBounds);
   }
 
  private:

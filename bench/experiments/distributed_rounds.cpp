@@ -22,8 +22,8 @@ class DistributedRoundsExperiment final : public engine::Experiment {
     return "distributed-rounds";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(8);
     ctx.os() << "E8 — distributed nibble: measured rounds vs the "
                 "|X| + 4*height schedule; placement identical to "
@@ -102,12 +102,10 @@ class DistributedRoundsExperiment final : public engine::Experiment {
              << (allMatch ? "yes" : "NO — BUG")
              << "; pipelining perfect (queue<=1): "
              << (allPipelined ? "yes" : "NO") << "\n";
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "distributed placement identical to sequential with "
-                   "perfect pipelining (queue depth <= 1)");
-    reporter.field("held", allMatch && allPipelined);
-    return allMatch && allPipelined;
+    reporter.check(
+        "distributed placement identical to sequential with perfect "
+        "pipelining (queue depth <= 1)",
+        allMatch && allPipelined);
   }
 };
 

@@ -3,11 +3,13 @@
 // offline static lower bound, including adversarial ping-pong sequences.
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments.h"
 #include "hbn/dynamic/harness.h"
 #include "hbn/net/generators.h"
+#include "hbn/serve/epoch_server.h"
 #include "hbn/util/rng.h"
 #include "hbn/util/stats.h"
 #include "hbn/util/table.h"
@@ -24,8 +26,8 @@ class DynamicExperiment final : public engine::Experiment {
 
   [[nodiscard]] std::string_view name() const override { return "dynamic"; }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(11);
     const int kTrials =
         trialsOverride_ > 0 ? trialsOverride_ : ctx.trials(10);
@@ -61,15 +63,19 @@ class DynamicExperiment final : public engine::Experiment {
                 rng);
             requests = dynamic::sequenceFromWorkload(load, rng);
           }
-          dynamic::OnlineOptions options;
-          options.replicationThreshold = threshold;
+          // One pass of the serving engine with the §4 drift handoff off:
+          // the online policy alone against the offline bound.
+          serve::ServeOptions options;
+          options.threads = 1;
+          options.replaceDrift = 0.0;
+          options.policy =
+              "tree-counters:threshold=" + std::to_string(threshold);
           util::Timer timer;
-          const auto result =
-              dynamic::runCompetitive(rooted, numObjects, requests, options);
+          serve::EpochServer server(rooted, numObjects, options);
+          serve::VectorStream stream(std::move(requests));
+          const serve::ServeReport result = server.serve(stream);
           reporter.addTiming(timer.millis());
-          if (result.offlineLowerBound > 0.0) {
-            ratio.add(result.onlineCongestion / result.offlineLowerBound);
-          }
+          if (result.lowerBound > 0.0) ratio.add(result.ratio);
           repl.add(static_cast<double>(result.replications));
           inval.add(static_cast<double>(result.invalidations));
         }
@@ -95,7 +101,6 @@ class DynamicExperiment final : public engine::Experiment {
     ctx.os() << "\n(the FOCS'97 dynamic tree strategy is 3-competitive; "
                 "this adaptation should land in the same small-constant "
                 "regime on shuffled static traffic)\n";
-    return true;
   }
 
  private:

@@ -1,7 +1,7 @@
 // The repository's experiment catalogue: one registration function per
 // experiment (one .cpp per experiment in this directory), plus the
-// populated-registry accessor every frontend (hbn_bench, hbn_place
-// --bench, tests) goes through.
+// populated-registry accessor every frontend (hbn_bench, tests) goes
+// through.
 //
 // docs/experiments.md maps each name registered here to the paper
 // section/claim it reproduces and the JSON fields it emits.

@@ -21,7 +21,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,8 +55,8 @@ class FaultRecoveryExperiment final : public engine::Experiment {
     return "fault-recovery";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     namespace fs = std::filesystem;
     const std::uint64_t seed = ctx.resolveSeed(15);
     const std::uint64_t requests =
@@ -89,8 +89,7 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       const auto stream = serve::makeGeneratedStream("skewed", tree, params,
                                                      seed, requests);
       if (stream->fill(events) != requests) {
-        ctx.os() << "stream under-filled\n";
-        return false;
+        throw std::runtime_error("stream under-filled");
       }
     }
 
@@ -101,22 +100,6 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       options.policy = "tree-counters";
       return options;
     };
-    const auto digestOf = [&](const serve::EpochServer& server,
-                              const serve::ServeReport& report) {
-      std::ostringstream oss;
-      oss.precision(17);
-      oss << report.congestion << '|' << report.replacements << '|'
-          << report.replications << '|' << report.invalidations;
-      for (const core::Count load : server.loads().edgeLoads()) {
-        oss << ',' << load;
-      }
-      for (workload::ObjectId x = 0; x < objects; ++x) {
-        oss << ';';
-        for (const net::NodeId v : server.copySet(x)) oss << v << ' ';
-      }
-      return oss.str();
-    };
-
     struct Timed {
       double wallMs = 0.0;
       double requestsPerSec = 0.0;
@@ -141,7 +124,7 @@ class FaultRecoveryExperiment final : public engine::Experiment {
           best.requestsPerSec = report.requestsPerSec;
         }
         if (i == 0) {
-          best.digest = digestOf(server, report);
+          best.digest = serve::stateDigest(server, report);
           best.report = report;
         }
         if (i == 0 && !options.checkpointDir.empty()) {
@@ -218,7 +201,8 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       recoveryMs = timer.millis();
       reporter.addTiming(recoveryMs);
       restoredFromEpoch = static_cast<double>(data.epochs);
-      recoveryIdentical = digestOf(server, report) == baseline.digest;
+      recoveryIdentical =
+          serve::stateDigest(server, report) == baseline.digest;
     }
 
     // --- Phase 3: degraded-mode throughput ------------------------------
@@ -235,7 +219,7 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       degradedRun.wallMs = timer.millis();
       reporter.addTiming(degradedRun.wallMs);
       degradedRun.requestsPerSec = report.requestsPerSec;
-      degradedRun.digest = digestOf(server, report);
+      degradedRun.digest = serve::stateDigest(server, report);
       degradedRun.report = report;
     }
     const bool degradedIdentical = degradedRun.digest == baseline.digest;
@@ -303,30 +287,18 @@ class FaultRecoveryExperiment final : public engine::Experiment {
                        degradedRun.report.degradedEpochs));
     reporter.field("digest_identical", degradedIdentical);
 
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "kill + restore ends bit-identical to an uninterrupted "
-                   "run");
-    reporter.field("held", killed && recoveryIdentical);
-    reporter.beginRow("check");
-    reporter.field("claim", "checkpointing is digest-neutral");
-    reporter.field("held", checkpointNeutral);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "checkpoint overhead stays within 5% of baseline "
-                   "throughput");
-    reporter.field("value", overheadPct);
-    reporter.field("held", overheadPct <= kOverheadBoundPct);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "ingest-stall watchdog degrades gracefully with an "
-                   "unchanged digest");
-    reporter.field("held", watchdogFired && degradedIdentical);
+    reporter.check(
+        "kill + restore ends bit-identical to an uninterrupted run",
+        killed && recoveryIdentical);
+    reporter.check("checkpointing is digest-neutral", checkpointNeutral);
+    reporter.check(
+        "checkpoint overhead stays within 5% of baseline throughput",
+        overheadPct <= kOverheadBoundPct, overheadPct);
+    reporter.check(
+        "ingest-stall watchdog degrades gracefully with an unchanged digest",
+        watchdogFired && degradedIdentical);
 
     fs::remove_all(dir);
-    return killed && recoveryIdentical && checkpointNeutral &&
-           overheadPct <= kOverheadBoundPct && watchdogFired &&
-           degradedIdentical;
   }
 
  private:

@@ -38,7 +38,8 @@
 namespace hbn::bench {
 namespace {
 
-/// The PR's measured single-thread target; reported as its own check.
+/// The measured single-thread target; informational (each serving row's
+/// `speedup` field shows whether it was met).
 constexpr double kSpeedupTarget = 3.0;
 /// The pass/fail gate (and CI trip-wire): a ratio this far below the
 /// measured 3.4-3.5x means the engine collapsed, not that a shared
@@ -207,8 +208,8 @@ class LoadEngineExperiment final : public engine::Experiment {
     return "load-engine";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(13);
     const std::uint64_t requests =
         requestsOverride_ > 0
@@ -382,6 +383,7 @@ class LoadEngineExperiment final : public engine::Experiment {
                          : 0.0);
       reporter.field("replications", static_cast<std::int64_t>(reps2));
       reporter.field("invalidations", static_cast<std::int64_t>(inv));
+      reporter.field("speedup", wallMs > 0.0 ? legacyMs / wallMs : 0.0);
     }
     for (const auto& [engineName, wallMs] :
          {std::pair<const char*, double>{"legacy-walk", staticLegacyMs},
@@ -394,24 +396,14 @@ class LoadEngineExperiment final : public engine::Experiment {
       reporter.field("wall_ms", wallMs);
     }
 
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "old and new engines are bit-identical (loads, "
-                   "replications, invalidations)");
-    reporter.field("held", identical && staticIdentical);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "batched engine serves load accounting >= 3x faster "
-                   "than the seed engine");
-    reporter.field("value", servingSpeedup);
-    reporter.field("held", servingSpeedup >= kSpeedupTarget);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "no engine collapse (speedup stays >= 2x; the CI "
-                   "pass/fail gate, noise-tolerant)");
-    reporter.field("value", servingSpeedup);
-    reporter.field("held", servingSpeedup >= kCollapseBound);
-    return identical && staticIdentical && servingSpeedup >= kCollapseBound;
+    reporter.check(
+        "old and new engines are bit-identical (loads, replications, "
+        "invalidations)",
+        identical && staticIdentical);
+    reporter.check(
+        "no engine collapse (speedup stays >= 2x; the CI pass/fail gate, "
+        "noise-tolerant)",
+        servingSpeedup >= kCollapseBound, servingSpeedup);
   }
 
  private:

@@ -27,8 +27,8 @@ class NibbleOptimalityExperiment final : public engine::Experiment {
     return "nibble-optimality";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(4);
     const int kTrials =
         trialsOverride_ > 0 ? trialsOverride_ : ctx.trials(10);
@@ -105,13 +105,10 @@ class NibbleOptimalityExperiment final : public engine::Experiment {
              << (allOptimal ? "yes (Theorem 3.1 confirmed)" : "NO — BUG")
              << "\n(per-object load/kappa <= 1 confirms the kappa_x "
                 "bound)\n";
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "nibble load equals the per-edge analytic minimum on "
-                   "every edge and per-object load stays <= kappa_x "
-                   "(Theorem 3.1)");
-    reporter.field("held", allOptimal);
-    return allOptimal;
+    reporter.check(
+        "nibble load equals the per-edge analytic minimum on every edge and "
+        "per-object load stays <= kappa_x (Theorem 3.1)",
+        allOptimal);
   }
 
  private:

@@ -24,8 +24,8 @@ class NpGadgetExperiment final : public engine::Experiment {
 
   [[nodiscard]] std::string_view name() const override { return "np-gadget"; }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(21);
     const int kTrials =
         trialsOverride_ > 0 ? trialsOverride_ : ctx.trials(6);
@@ -85,11 +85,9 @@ class NpGadgetExperiment final : public engine::Experiment {
     table.print(ctx.os());
     ctx.os() << "\nreduction consistent on all instances: "
              << (allConsistent ? "yes" : "NO — BUG") << "\n";
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "exact OPT == 4k iff PARTITION solvable (Theorem 2.1)");
-    reporter.field("held", allConsistent);
-    return allConsistent;
+    reporter.check(
+        "exact OPT == 4k iff PARTITION solvable (Theorem 2.1)",
+        allConsistent);
   }
 
  private:

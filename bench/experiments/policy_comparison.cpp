@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -65,8 +64,8 @@ class PolicyComparisonExperiment final : public engine::Experiment {
     return "policy-comparison";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(14);
     const std::uint64_t perStream =
         requestsOverride_ > 0
@@ -198,18 +197,7 @@ class PolicyComparisonExperiment final : public engine::Experiment {
       options.policy = policy;
       serve::EpochServer server(rooted, objects, options);
       const serve::ServeReport report = server.serve(*stream);
-      std::ostringstream oss;
-      oss.precision(17);
-      oss << report.congestion << '|' << report.replications << '|'
-          << report.invalidations << '|' << report.replacements;
-      for (const core::Count load : server.loads().edgeLoads()) {
-        oss << ',' << load;
-      }
-      for (workload::ObjectId x = 0; x < objects; x += 37) {
-        oss << ';';
-        for (const net::NodeId v : server.copySet(x)) oss << v << ' ';
-      }
-      return oss.str();
+      return serve::stateDigest(server, report);
     };
     bool deterministic = true;
     for (const std::string& policy : policySpecs()) {
@@ -293,42 +281,26 @@ class PolicyComparisonExperiment final : public engine::Experiment {
                                           : " NOT best")
              << "\n";
 
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "tree-counters beats owner-only on read-heavy skew");
-    reporter.field("value", congestion["skewed"]["tree-counters"]);
-    reporter.field("held", beatsOwnerOnly);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "tree-counters beats full-replication on write-heavy "
-                   "churn");
-    reporter.field("value", congestion["skewed-churn"]["tree-counters"]);
-    reporter.field("held", beatsFullReplication);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "static + drift handoff stays within the e12 ratio "
-                   "bound on generated streams");
-    reporter.field("value", staticWorstRatio);
-    reporter.field("held", staticWithinBound);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "every policy's epoch sharding is thread-count "
-                   "independent");
-    reporter.field("held", deterministic);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "adaptive stays within 1.10x of the best fixed policy "
-                   "on every fixed-regime stream");
-    reporter.field("value", adaptiveWorstSlack);
-    reporter.field("held", adaptiveNearBest);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "adaptive is strictly best on the regime-cycling "
-                   "phase-shift stream");
-    reporter.field("value", congestion["phase-shift"]["adaptive"]);
-    reporter.field("held", adaptiveBestOnPhaseShift);
-    return beatsOwnerOnly && beatsFullReplication && staticWithinBound &&
-           deterministic && adaptiveNearBest && adaptiveBestOnPhaseShift;
+    reporter.check(
+        "tree-counters beats owner-only on read-heavy skew",
+        beatsOwnerOnly, congestion["skewed"]["tree-counters"]);
+    reporter.check(
+        "tree-counters beats full-replication on write-heavy churn",
+        beatsFullReplication, congestion["skewed-churn"]["tree-counters"]);
+    reporter.check(
+        "static + drift handoff stays within the e12 ratio bound on generated "
+        "streams",
+        staticWithinBound, staticWorstRatio);
+    reporter.check(
+        "every policy's epoch sharding is thread-count independent",
+        deterministic);
+    reporter.check(
+        "adaptive stays within 1.10x of the best fixed policy on every "
+        "fixed-regime stream",
+        adaptiveNearBest, adaptiveWorstSlack);
+    reporter.check(
+        "adaptive is strictly best on the regime-cycling phase-shift stream",
+        adaptiveBestOnPhaseShift, congestion["phase-shift"]["adaptive"]);
   }
 
  private:

@@ -25,8 +25,8 @@ class RingVsBusExperiment final : public engine::Experiment {
     return "ring-vs-bus";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(6);
     const int kRandomCases =
         trialsOverride_ > 0 ? trialsOverride_ : ctx.trials(5);
@@ -100,12 +100,9 @@ class RingVsBusExperiment final : public engine::Experiment {
              << (allEqual ? "yes (Figure 1 -> Figure 2 is exact)"
                           : "NO — BUG")
              << "\n";
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "hierarchical ring loads equal bus-abstraction loads "
-                   "(Figures 1-2)");
-    reporter.field("held", allEqual);
-    return allEqual;
+    reporter.check(
+        "hierarchical ring loads equal bus-abstraction loads (Figures 1-2)",
+        allEqual);
   }
 
  private:

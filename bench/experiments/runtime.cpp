@@ -45,8 +45,8 @@ class RuntimeExperiment final : public engine::Experiment {
 
   [[nodiscard]] std::string_view name() const override { return "runtime"; }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(3);
     const std::vector<std::string> specs =
         ctx.strategies.empty()
@@ -134,7 +134,6 @@ class RuntimeExperiment final : public engine::Experiment {
 
     ctx.os() << "E3 — runtime scaling (seed=" << seed << ")\n\n";
     table.print(ctx.os());
-    return true;
   }
 
  private:

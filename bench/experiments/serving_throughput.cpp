@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -94,8 +93,8 @@ class ServingThroughputExperiment final : public engine::Experiment {
     return "serving-throughput";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(12);
     // The point of this experiment is scale: even the smoke suite pushes
     // more than a million requests end-to-end through the engine.
@@ -157,20 +156,6 @@ class ServingThroughputExperiment final : public engine::Experiment {
                      static_cast<std::int64_t>(report.invalidations));
       reporter.field("worker_imbalance", report.workerImbalance);
     };
-    // Every deterministic observable of a finished run.
-    const auto stateDigest = [](const serve::EpochServer& server,
-                                const serve::ServeReport& report) {
-      std::ostringstream oss;
-      oss.precision(17);
-      oss << report.congestion << '|' << report.lowerBound << '|'
-          << report.replications << '|' << report.invalidations << '|'
-          << report.replacements;
-      for (const core::Count load : server.loads().edgeLoads()) {
-        oss << ',' << load;
-      }
-      return oss.str();
-    };
-
     util::Table table({"stream", "requests", "epochs", "Mreq/s",
                        "epoch p99 ms", "req p99 ms", "ratio",
                        "re-placements"});
@@ -229,7 +214,7 @@ class ServingThroughputExperiment final : public engine::Experiment {
       const serve::ServeReport report = server.serve(*stream);
       reporter.addTiming(timer.millis());
       totalServed += report.totalRequests;
-      *digest = stateDigest(server, report);
+      *digest = serve::stateDigest(server, report);
       return report;
     };
     // K interleaved barrier/pipelined pairs: the first pair's rows and
@@ -354,7 +339,7 @@ class ServingThroughputExperiment final : public engine::Experiment {
       const serve::ServeReport report = server.serve(*stream);
       reporter.addTiming(timer.millis());
       totalServed += report.totalRequests;
-      const std::string state = stateDigest(server, report);
+      const std::string state = serve::stateDigest(server, report);
       if (threads == 1) {
         singleThreadRate = report.requestsPerSec;
         singleThreadDigest = state;
@@ -387,69 +372,49 @@ class ServingThroughputExperiment final : public engine::Experiment {
              << (deterministic ? "states identical" : "STATES DIVERGED")
              << "\n";
 
-    reporter.beginRow("check");
-    reporter.field("claim", "stream served end-to-end (>= 1M at suite scale)");
-    reporter.field("value", static_cast<std::int64_t>(totalServed));
-    reporter.field("held", servedAll);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "realised congestion within bound of the offline "
-                   "lower bound");
-    reporter.field("value", worstRatio);
-    reporter.field("held", ratioHeld);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "adaptive re-placement fires under slow adaptation "
-                   "and does not increase congestion");
-    reporter.field("value", driftOn.congestion);
-    reporter.field("held", handoffHelps);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "epoch sharding is thread-count independent (skewed "
-                   "stream, 1/2/4 threads)");
-    reporter.field("held", deterministic);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "pipelined serving state is bit-identical to the "
-                   "barrier engine on the drift-handoff stream");
-    reporter.field("held", bitIdentical);
+    reporter.check(
+        "stream served end-to-end (>= 1M at suite scale)",
+        servedAll, static_cast<double>(totalServed));
+    reporter.check(
+        "realised congestion within bound of the offline lower bound",
+        ratioHeld, worstRatio);
+    reporter.check(
+        "adaptive re-placement fires under slow adaptation and does not "
+        "increase congestion",
+        handoffHelps, driftOn.congestion);
+    reporter.check(
+        "epoch sharding is thread-count independent (skewed stream, 1/2/4 "
+        "threads)",
+        deterministic);
+    reporter.check(
+        "pipelined serving state is bit-identical to the barrier engine on "
+        "the drift-handoff stream",
+        bitIdentical);
     const double epochWinFloor =
         ctx.smoke ? kLatencyWinFloorSmoke : kEpochWinFloorFull;
     const double requestWinFloor =
         ctx.smoke ? kLatencyWinFloorSmoke : kRequestWinFloorFull;
     const double parityFloor =
         ctx.smoke ? kThroughputParityFloorSmoke : kThroughputParityFloorFull;
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   ctx.smoke
+    reporter.check(ctx.smoke
                        ? "pipelining does not worsen epoch p99 latency "
                          "on the drift-handoff stream (smoke floor)"
                        : "pipelining improves epoch p99 latency >= 1.5x "
-                         "on the drift-handoff stream");
-    reporter.field("value", epochP99Win);
-    reporter.field("held", epochP99Win >= epochWinFloor);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   ctx.smoke
+                         "on the drift-handoff stream",
+                   epochP99Win >= epochWinFloor, epochP99Win);
+    reporter.check(ctx.smoke
                        ? "pipelining does not worsen request p99 latency "
                          "on the drift-handoff stream (smoke floor)"
                        : "pipelining improves request p99 latency >= 1.25x "
-                         "on the drift-handoff stream");
-    reporter.field("value", requestP99Win);
-    reporter.field("held", requestP99Win >= requestWinFloor);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   ctx.smoke
+                         "on the drift-handoff stream",
+                   requestP99Win >= requestWinFloor, requestP99Win);
+    reporter.check(ctx.smoke
                        ? "pipelined throughput within 20% of the barrier "
                          "engine (median of interleaved pairs, smoke "
                          "floor)"
                        : "pipelined throughput within 15% of the barrier "
-                         "engine (median of interleaved pairs)");
-    reporter.field("value", throughputParity);
-    reporter.field("held", throughputParity >= parityFloor);
-    return servedAll && ratioHeld && deterministic && handoffHelps &&
-           bitIdentical && epochP99Win >= epochWinFloor &&
-           requestP99Win >= requestWinFloor && throughputParity >= parityFloor;
+                         "engine (median of interleaved pairs)",
+                   throughputParity >= parityFloor, throughputParity);
   }
 
  private:

@@ -26,7 +26,6 @@
 //                machine, not the protocol.
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,20 +93,6 @@ std::vector<workload::RequestEvent> materialize(const net::Tree& tree,
   return events;
 }
 
-/// The digest both engines are compared on: every run-level counter the
-/// serve layer reports plus the full merged edge-load vector, printed
-/// at round-trip precision.
-std::string digestOf(const serve::ServeReport& report,
-                     const core::LoadMap& loads) {
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << report.congestion << '|' << report.lowerBound << '|'
-      << report.ratio << '|' << report.replacements << '|'
-      << report.replications << '|' << report.invalidations;
-  for (const core::Count load : loads.edgeLoads()) oss << ',' << load;
-  return oss.str();
-}
-
 class ShardedServingExperiment final : public engine::Experiment {
  public:
   ShardedServingExperiment(std::int64_t requests, std::int64_t epoch,
@@ -120,8 +105,8 @@ class ShardedServingExperiment final : public engine::Experiment {
     return "sharded-serving";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(12);
     const net::Tree tree = net::makeClusterNetwork(4, 8);
     const net::RootedTree rooted(tree, tree.defaultRoot());
@@ -159,7 +144,7 @@ class ShardedServingExperiment final : public engine::Experiment {
           options.policy = policy;
           serve::EpochServer server(rooted, objects, options);
           const serve::ServeReport report = server.serve(stream);
-          *digest = digestOf(report, server.loads());
+          *digest = serve::stateDigest(report, server.loads());
           return report;
         };
 
@@ -181,7 +166,7 @@ class ShardedServingExperiment final : public engine::Experiment {
               socket ? "socket" : "loopback");
           const shard::ShardedReport report = coordinator.serve(stream);
           cluster->join();
-          *digest = digestOf(report, coordinator.loads());
+          *digest = serve::stateDigest(report, coordinator.loads());
           return report;
         };
 
@@ -347,33 +332,25 @@ class ShardedServingExperiment final : public engine::Experiment {
              << util::formatDouble(speedupFloor, 2) << "x, "
              << (ctx.smoke ? "smoke" : "full") << " mode)\n";
 
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "sharded serving is bit-identical to the "
-                   "single-process engine for every registered policy "
-                   "at 1, 2 and 4 workers");
-    reporter.field("held", identityHeld);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "socket transport produces the same bits as loopback");
-    reporter.field("held", socketHeld);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   "aggregate load digests are worker-count independent "
-                   "on the scaling stream");
-    reporter.field("held", scalingIdentity);
-    reporter.beginRow("check");
-    reporter.field("claim",
-                   ctx.smoke
+    reporter.check(
+        "sharded serving is bit-identical to the single-process engine for "
+        "every registered policy at 1, 2 and 4 workers",
+        identityHeld);
+    reporter.check(
+        "socket transport produces the same bits as loopback",
+        socketHeld);
+    reporter.check(
+        "aggregate load digests are worker-count independent on the scaling "
+        "stream",
+        scalingIdentity);
+    reporter.check(ctx.smoke
                        ? "critical-path throughput does not lose at 4 "
                          "workers (smoke floor, median of interleaved "
                          "pairs)"
                        : "critical-path throughput scales >= 1.5x at 4 "
                          "workers on the skewed stream (median of "
-                         "interleaved pairs)");
-    reporter.field("value", speedupAt4);
-    reporter.field("held", scalingHeld);
-    return identityHeld && socketHeld && scalingIdentity && scalingHeld;
+                         "interleaved pairs)",
+                   scalingHeld, speedupAt4);
   }
 
  private:

@@ -28,8 +28,8 @@ class StrategyComparisonExperiment final : public engine::Experiment {
     return "strategy-comparison";
   }
 
-  [[nodiscard]] bool run(engine::ExperimentContext& ctx,
-                         engine::BenchReporter& reporter) const override {
+  void run(engine::ExperimentContext& ctx,
+           engine::BenchReporter& reporter) const override {
     const std::uint64_t seed = ctx.resolveSeed(9);
     const std::vector<std::string> specs =
         ctx.strategies.empty()
@@ -111,7 +111,6 @@ class StrategyComparisonExperiment final : public engine::Experiment {
     ctx.os() << "\n(extended-nibble carries the only worst-case guarantee; "
                 "single-copy baselines lose badly on read-heavy or "
                 "clustered traffic, full replication on write traffic)\n";
-    return true;
   }
 
  private:

@@ -8,8 +8,7 @@
 // Every experiment in bench/experiments/ is registered by name (spec
 // syntax `name[:key=value,...]`, shared with strategy specs); each run
 // prints its human-readable tables and writes a schema-versioned
-// BENCH_<experiment>.json for the cross-PR perf trajectory. The same
-// driver is reachable as `hbn_place --bench ...`.
+// BENCH_<experiment>.json for the cross-PR perf trajectory.
 #include "experiments/experiments.h"
 #include "hbn/shard/process.h"
 

@@ -4,11 +4,12 @@
 // compare its realised congestion with the offline static bound and with
 // a static extended-nibble placement computed in hindsight.
 #include <iostream>
+#include <string>
 
 #include "hbn/core/extended_nibble.h"
 #include "hbn/core/lower_bound.h"
-#include "hbn/dynamic/harness.h"
 #include "hbn/net/generators.h"
+#include "hbn/serve/epoch_server.h"
 #include "hbn/util/rng.h"
 #include "hbn/util/stats.h"
 #include "hbn/util/table.h"
@@ -47,13 +48,18 @@ int main() {
   util::Table table({"threshold D", "online congestion", "offline LB",
                      "ratio", "replications", "invalidations"});
   for (const core::Count threshold : {1, 2, 4, 8}) {
-    dynamic::OnlineOptions options;
-    options.replicationThreshold = threshold;
-    const auto result =
-        dynamic::runCompetitive(rooted, kObjects, requests, options);
+    // The serving engine with the drift handoff off: the online policy
+    // alone against the offline bound of the aggregated frequencies.
+    serve::ServeOptions options;
+    options.threads = 1;
+    options.replaceDrift = 0.0;
+    options.policy = "tree-counters:threshold=" + std::to_string(threshold);
+    serve::EpochServer server(rooted, kObjects, options);
+    serve::VectorStream stream(requests);
+    const serve::ServeReport result = server.serve(stream);
     table.addRow({std::to_string(threshold),
-                  util::formatDouble(result.onlineCongestion, 1),
-                  util::formatDouble(result.offlineLowerBound, 1),
+                  util::formatDouble(result.congestion, 1),
+                  util::formatDouble(result.lowerBound, 1),
                   util::formatDouble(result.ratio, 2),
                   std::to_string(result.replications),
                   std::to_string(result.invalidations)});

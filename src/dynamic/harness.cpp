@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "hbn/core/lower_bound.h"
-
 namespace hbn::dynamic {
 
 void bucketRequestsByObject(std::span<const Request> requests,
@@ -100,67 +98,6 @@ std::vector<Request> makePingPongSequence(const net::Tree& tree,
     }
   }
   return requests;
-}
-
-CompetitiveResult runCompetitive(const net::RootedTree& rooted,
-                                 int numObjects,
-                                 const std::vector<Request>& requests,
-                                 const std::string& policySpec) {
-  const net::Tree& tree = rooted.tree();
-  const std::unique_ptr<OnlinePolicy> policy =
-      OnlinePolicyRegistry::global().create(policySpec)->build(
-          rooted, numObjects, tree.processors().front());
-  workload::Workload aggregated(numObjects, tree.nodeCount());
-
-  // Bucket the sequence by object (stable, preserving per-object
-  // arrival order): object state machines are independent and integer
-  // loads are additive, so grouped serving realises exactly the loads of
-  // the interleaved sequence — while batching every object's path
-  // charges through the difference-counting accumulator.
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(numObjects) + 1);
-  std::vector<Request> bucketed(requests.size());
-  bucketRequestsByObject(requests, numObjects, offsets, bucketed);
-  for (const Request& request : requests) {
-    if (request.isWrite) {
-      aggregated.addWrites(request.object, request.origin, 1);
-    } else {
-      aggregated.addReads(request.object, request.origin, 1);
-    }
-  }
-
-  core::LoadMap loads(tree.edgeCount());
-  core::FlatLoadAccumulator acc(policy->flatView());
-  ServeScratch scratch;
-  Count replications = 0;
-  Count invalidations = 0;
-  for (ObjectId x = 0; x < numObjects; ++x) {
-    const std::size_t begin = offsets[static_cast<std::size_t>(x)];
-    const std::size_t end = offsets[static_cast<std::size_t>(x) + 1];
-    if (begin == end) continue;
-    const ShardStats stats = policy->serveShard(
-        x, std::span<const Request>(bucketed.data() + begin, end - begin),
-        loads, scratch, &acc);
-    replications += stats.replications;
-    invalidations += stats.invalidations;
-  }
-
-  CompetitiveResult result;
-  result.onlineCongestion = loads.congestion(tree);
-  result.offlineLowerBound =
-      core::analyticLowerBound(rooted, aggregated).congestion;
-  result.ratio =
-      competitiveRatio(result.onlineCongestion, result.offlineLowerBound);
-  result.replications = replications;
-  result.invalidations = invalidations;
-  return result;
-}
-
-CompetitiveResult runCompetitive(const net::RootedTree& rooted,
-                                 int numObjects,
-                                 const std::vector<Request>& requests,
-                                 const OnlineOptions& options) {
-  return runCompetitive(rooted, numObjects, requests,
-                        treeCountersSpec(options));
 }
 
 }  // namespace hbn::dynamic

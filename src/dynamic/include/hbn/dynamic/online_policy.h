@@ -9,7 +9,7 @@
 //
 // A policy owns the per-object copy configuration and serves
 // object-bucketed request shards against it; every serving surface
-// (EpochServer, the competitive harness, hbn_serve, the e14 bench)
+// (EpochServer, the shard workers, hbn_serve, the e11/e14 benches)
 // selects a policy by the same `name[:key=value,...]` spec grammar the
 // strategy and experiment registries use (engine::splitSpec /
 // engine::StrategyOptions — one parser, one error vocabulary).
@@ -242,8 +242,7 @@ void applyHandoffTarget(OnlinePolicy& policy, ObjectId x,
 
 /// Renders OnlineOptions as the equivalent tree-counters spec
 /// ("tree-counters:threshold=D,contract=0|1") — the bridge legacy
-/// OnlineOptions call sites (CLI --threshold, the OnlineOptions
-/// runCompetitive overload) use to reach the registry.
+/// OnlineOptions call sites (CLI --threshold) use to reach the registry.
 [[nodiscard]] std::string treeCountersSpec(const OnlineOptions& options);
 
 namespace detail {

@@ -70,7 +70,7 @@ std::ostream& ExperimentContext::os() const {
 BenchReporter::BenchReporter(std::string experimentName)
     : name_(std::move(experimentName)) {}
 
-void BenchReporter::beginRow(std::string_view kind) {
+void BenchReporter::beginRecord(std::string_view kind) {
   records_.beginRecord();
   records_.field("schema_version", kSchemaVersion);
   records_.field("experiment", name_);
@@ -93,6 +93,15 @@ void BenchReporter::field(std::string_view key, bool value) {
   records_.field(key, value);
 }
 
+void BenchReporter::check(std::string_view claim, bool held,
+                          std::optional<double> value) {
+  beginRecord("check");
+  field("claim", claim);
+  if (value) field("value", *value);
+  field("held", held);
+  passed_ = passed_ && held;
+}
+
 void BenchReporter::summary(std::string_view prefix,
                             const util::Accumulator& acc) {
   const std::string p(prefix);
@@ -105,10 +114,9 @@ void BenchReporter::summary(std::string_view prefix,
 }
 
 std::string BenchReporter::writeFile(const std::string& dir,
-                                     const ExperimentContext& ctx,
-                                     bool passed) {
-  beginRow("summary");
-  field("passed", passed);
+                                     const ExperimentContext& ctx) {
+  beginRecord("summary");
+  field("passed", passed_);
   field("mode", ctx.smoke ? "smoke" : "full");
   records_.field("seed", static_cast<std::int64_t>(ctx.seed));
   records_.field("threads", ctx.threads);

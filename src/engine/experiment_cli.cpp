@@ -1,7 +1,7 @@
-// Command-line driver behind `hbn_bench` (and `hbn_place --bench`):
-// bench-specific flags are peeled off here, everything else goes through
-// the shared engine::parseCli so --strategy/--threads/--seed behave
-// identically across every frontend.
+// Command-line driver behind `hbn_bench`: bench-specific flags are
+// peeled off here, everything else goes through the shared
+// engine::parseCli so --strategy/--threads/--seed behave identically
+// across every frontend.
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
@@ -137,16 +137,18 @@ int runBenchCli(const ExperimentRegistry& registry, int argc, char** argv) {
 
         BenchReporter reporter{std::string(experiment->name())};
         util::Timer timer;
-        bool passed = false;
         try {
-          passed = experiment->run(ctx, reporter);
+          experiment->run(ctx, reporter);
         } catch (const std::exception& e) {
           std::cerr << "error: [" << experiment->name() << "] " << e.what()
                     << "\n";
+          reporter.check(std::string("run completes (threw: ") + e.what() + ")",
+                         false);
         }
         const double totalMs = timer.millis();
+        const bool passed = reporter.passed();
         allPassed &= passed;
-        const std::string path = reporter.writeFile(cli.outDir, ctx, passed);
+        const std::string path = reporter.writeFile(cli.outDir, ctx);
         std::cout << "\n[" << experiment->name() << "] "
                   << (passed ? "PASS" : "FAIL") << " in "
                   << util::formatDouble(totalMs, 1) << " ms — wrote " << path

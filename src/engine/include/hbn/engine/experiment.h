@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,11 +67,12 @@ struct ExperimentContext {
 ///
 /// The file is a flat-record JSON array (util::JsonRecords). Every record
 /// carries `schema_version`, `experiment`, and `kind`; measurement rows
-/// use kind="row" with experiment-specific fields, and writeFile()
-/// appends one kind="summary" record holding the run parameters (seed,
-/// threads, mode), the machine spec (host, os, cpus, compiler), wall-
-/// clock percentiles over all addTiming() samples, and the pass/fail
-/// verdict of the experiment's paper-claim checks.
+/// use kind="row" with experiment-specific fields, paper claims use
+/// kind="check" (written by check(), which also folds the claim into the
+/// run's verdict), and writeFile() appends one kind="summary" record
+/// holding the run parameters (seed, threads, mode), the machine spec
+/// (host, os, cpus, compiler), wall-clock percentiles over all
+/// addTiming() samples, and that verdict.
 class BenchReporter {
  public:
   /// Bump when record fields change incompatibly; consumers of the perf
@@ -79,9 +81,9 @@ class BenchReporter {
 
   explicit BenchReporter(std::string experimentName);
 
-  /// Starts a measurement record (kind="row" unless overridden);
-  /// subsequent field() calls attach to it.
-  void beginRow(std::string_view kind = "row");
+  /// Starts a measurement record (kind="row"); subsequent field() calls
+  /// attach to it.
+  void beginRow() { beginRecord("row"); }
 
   void field(std::string_view key, std::string_view value);
   void field(std::string_view key, const char* value) {
@@ -93,6 +95,15 @@ class BenchReporter {
   }
   void field(std::string_view key, double value);
   void field(std::string_view key, bool value);
+
+  /// Writes one kind="check" record (`claim`, `value` when given,
+  /// `held`) and folds `held` into the verdict: a check is a gate, so
+  /// one that does not hold fails the run.
+  void check(std::string_view claim, bool held,
+             std::optional<double> value = {});
+
+  /// The verdict so far: true iff every check() held.
+  [[nodiscard]] bool passed() const noexcept { return passed_; }
 
   /// Emits `<prefix>_mean/_p50/_p90/_min/_max` fields into the current
   /// record (all null when the accumulator is empty).
@@ -109,21 +120,26 @@ class BenchReporter {
     return records_.recordCount();
   }
 
-  /// Appends the summary record and writes `<dir>/BENCH_<experiment>.json`.
-  /// Returns the path written. `dir` empty means the current directory.
-  std::string writeFile(const std::string& dir, const ExperimentContext& ctx,
-                        bool passed);
+  /// Appends the summary record (verdict: passed()) and writes
+  /// `<dir>/BENCH_<experiment>.json`. Returns the path written. `dir`
+  /// empty means the current directory.
+  std::string writeFile(const std::string& dir, const ExperimentContext& ctx);
 
  private:
+  /// Starts a record of `kind` with the schema fields every record has.
+  void beginRecord(std::string_view kind);
+
   std::string name_;
   util::JsonRecords records_;
   util::Accumulator wallMs_;
+  bool passed_ = true;
 };
 
 /// Abstract experiment: a registry name plus a run() that prints its
-/// human tables to ctx.os(), deposits one reporter row per measurement,
-/// and returns whether every paper claim it checks actually held (the
-/// process exit code of `hbn_bench` aggregates these).
+/// human tables to ctx.os(), deposits one reporter row per measurement
+/// and one BenchReporter::check() per paper claim. The reporter's
+/// verdict (and a thrown exception, which fails the run) is what the
+/// process exit code of `hbn_bench` aggregates.
 ///
 /// Implementations must derive all randomness from ctx.resolveSeed(...) so a
 /// given (seed, experiment) pair is reproducible, and must scale their
@@ -135,9 +151,8 @@ class Experiment {
   /// Canonical registry name (e.g. "approx-ratio").
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// Runs the experiment. Returns false when a checked claim failed.
-  [[nodiscard]] virtual bool run(ExperimentContext& ctx,
-                                 BenchReporter& reporter) const = 0;
+  /// Runs the experiment, recording its claims through reporter.check().
+  virtual void run(ExperimentContext& ctx, BenchReporter& reporter) const = 0;
 };
 
 /// Registry metadata shown by `hbn_bench --list` and --help.
@@ -164,11 +179,10 @@ class ExperimentRegistry : public SpecRegistry<Experiment, ExperimentInfo> {
   [[nodiscard]] std::string helpText() const;
 };
 
-/// The `hbn_bench` command-line driver, also reachable through
-/// `hbn_place --bench`: --list, --suite=smoke|full, explicit experiment
-/// specs, shared --seed/--threads/--strategy flags, --out DIR for the
-/// JSON files. Returns the process exit code (0 iff every selected
-/// experiment's claims held).
+/// The `hbn_bench` command-line driver: --list, --suite=smoke|full,
+/// explicit experiment specs, shared --seed/--threads/--strategy flags,
+/// --out DIR for the JSON files. Returns the process exit code (0 iff
+/// every selected experiment's claims held).
 int runBenchCli(const ExperimentRegistry& registry, int argc, char** argv);
 
 }  // namespace hbn::engine

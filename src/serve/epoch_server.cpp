@@ -21,6 +21,10 @@
 namespace hbn::serve {
 namespace {
 
+/// Base backoff between handoff publication retries: retry k first
+/// sleeps k times this.
+constexpr double kHandoffBackoffMs = 1.0;
+
 double elapsedMs(EpochBatch::Clock::time_point from,
                  EpochBatch::Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
@@ -387,10 +391,8 @@ void EpochServer::beginPass(std::uint64_t epoch) {
         throw Error(Stage::Handoff, epoch, e.what());
       }
       ++handoffRetriesUsed_;
-      if (options_.handoffBackoffMs > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            options_.handoffBackoffMs * (attempt + 1)));
-      }
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          kHandoffBackoffMs * (attempt + 1)));
     }
   }
   ++passesBegun_;
@@ -579,6 +581,28 @@ void EpochServer::restoreFrom(const CheckpointData& data) {
   // The one place aggregated_ changes other than absorbObject: bring the
   // incrementally maintained bound up to the restored matrix.
   lowerBound_.rebuild(aggregated_);
+}
+
+std::string stateDigest(const ServeReport& report,
+                        const core::LoadMap& loads) {
+  std::ostringstream oss;
+  oss.precision(17);
+  oss << report.congestion << '|' << report.lowerBound << '|'
+      << report.ratio << '|' << report.replacements << '|'
+      << report.replications << '|' << report.invalidations;
+  for (const core::Count load : loads.edgeLoads()) oss << ',' << load;
+  return oss.str();
+}
+
+std::string stateDigest(const EpochServer& server,
+                        const ServeReport& report) {
+  std::ostringstream oss;
+  oss << stateDigest(report, server.loads());
+  for (ObjectId x = 0; x < server.numObjects(); ++x) {
+    oss << ';';
+    for (const net::NodeId v : server.copySet(x)) oss << v << ' ';
+  }
+  return oss.str();
 }
 
 }  // namespace hbn::serve

@@ -125,10 +125,8 @@ struct ServeOptions {
   double stallTimeoutMs = 0.0;
   /// Bounded retry on handoff publication failure: how many times
   /// beginning a §4 pass may be retried before the epoch fails with
-  /// serve::Error{Handoff}, and the base backoff between attempts
-  /// (attempt k sleeps k × handoffBackoffMs).
+  /// serve::Error{Handoff}; retry k first backs off k milliseconds.
   int handoffRetries = 3;
-  double handoffBackoffMs = 1.0;
   /// Deterministic fault injection (util::FaultInjector specs —
   /// ingest-stall@epochN, shard-throw@epochN:shardM, handoff-fail@
   /// epochN); null injects nothing. Shared so the CLI, tests and
@@ -245,10 +243,10 @@ void recordEpochLatency(std::span<const EpochBatch::Arrival> arrivals,
 class EpochServer {
  public:
   /// `rooted` must outlive the server. Objects start with one copy on
-  /// the first processor, as in the competitive harness. `owned`
-  /// (numObjects entries, empty = all) restricts serving and migration
-  /// to a shard's objects; aggregation still absorbs every event, so
-  /// the frequency matrix and lower bound stay the unrestricted ones.
+  /// the first processor. `owned` (numObjects entries, empty = all)
+  /// restricts serving and migration to a shard's objects; aggregation
+  /// still absorbs every event, so the frequency matrix and lower bound
+  /// stay the unrestricted ones.
   EpochServer(const net::RootedTree& rooted, int numObjects,
               const ServeOptions& options = {},
               std::vector<bool> owned = {});
@@ -447,5 +445,17 @@ class EpochServer {
   /// Run-level request-latency reservoir (persists across serve calls).
   util::ReservoirSampler latency_;
 };
+
+/// The bit-identity digest every determinism comparison uses (1-vs-N
+/// threads, barrier-vs-pipelined, single-process-vs-sharded,
+/// kill+restore): congestion, lower bound and ratio at round-trip
+/// precision, the replacement/replication/invalidation counters and
+/// every edge load. This overload needs no copy sets, so it also
+/// digests a shard coordinator's run.
+[[nodiscard]] std::string stateDigest(const ServeReport& report,
+                                      const core::LoadMap& loads);
+/// The same plus every object's copy set.
+[[nodiscard]] std::string stateDigest(const EpochServer& server,
+                                      const ServeReport& report);
 
 }  // namespace hbn::serve

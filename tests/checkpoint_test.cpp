@@ -121,20 +121,6 @@ ServeOptions makeOptions(const std::string& spec, int threads,
   return options;
 }
 
-/// Everything determinism promises: final loads, copy sets, counters.
-std::string digest(const EpochServer& server, const ServeReport& report) {
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << report.congestion << '|' << report.replacements << '|'
-      << report.replications << '|' << report.invalidations;
-  for (const Count load : server.loads().edgeLoads()) oss << ',' << load;
-  for (ObjectId x = 0; x < kObjects; ++x) {
-    oss << ';';
-    for (const net::NodeId v : server.copySet(x)) oss << v << ' ';
-  }
-  return oss.str();
-}
-
 /// Fresh unique checkpoint directory under the test temp root.
 std::filesystem::path freshDir(const std::string& tag) {
   static int counter = 0;
@@ -152,7 +138,7 @@ std::string serveUninterrupted(
   EpochServer server(rooted, kObjects, options);
   VectorStream stream({events.begin(), events.end()});
   const ServeReport report = server.serve(stream);
-  return digest(server, report);
+  return stateDigest(server, report);
 }
 
 // ---------------------------------------------------------------------------
@@ -203,7 +189,7 @@ TEST(Checkpoint, KillRestoreIsBitIdentical) {
         skipRequests(stream, data.servedTotal);
         const ServeReport report = server.serve(stream);
         EXPECT_EQ(report.totalRequests, kRequests - data.servedTotal);
-        EXPECT_EQ(digest(server, report), reference);
+        EXPECT_EQ(stateDigest(server, report), reference);
         std::filesystem::remove_all(dir);
       }
     }
@@ -232,7 +218,7 @@ TEST(Checkpoint, CheckpointingIsDigestNeutral) {
     VectorStream stream({events.begin(), events.end()});
     const ServeReport report = server.serve(stream);
     EXPECT_GT(report.checkpoints, 0u);
-    EXPECT_EQ(digest(server, report), reference);
+    EXPECT_EQ(stateDigest(server, report), reference);
 
     // The final snapshot captures end-of-run state exactly.
     const CheckpointData data =
@@ -419,7 +405,7 @@ TEST(Checkpoint, BareRestoreResumesWithTheRecordedKnobs) {
   VectorStream stream({events.begin(), events.end()});
   skipRequests(stream, data.servedTotal);
   const ServeReport report = server.serve(stream);
-  EXPECT_EQ(digest(server, report), reference);
+  EXPECT_EQ(stateDigest(server, report), reference);
   std::filesystem::remove_all(dir);
 }
 

@@ -1,4 +1,4 @@
-// Tests for the online (dynamic) strategy and its competitive harness.
+// Tests for the online (dynamic) strategy and competitive runs of it.
 #include <cmath>
 #include <vector>
 
@@ -6,6 +6,7 @@
 
 #include "hbn/dynamic/harness.h"
 #include "hbn/net/generators.h"
+#include "hbn/serve/epoch_server.h"
 #include "hbn/util/rng.h"
 #include "hbn/workload/generators.h"
 
@@ -13,6 +14,17 @@ namespace hbn::dynamic {
 namespace {
 
 using net::Tree;
+
+/// A competitive run: the serving engine with the drift handoff off.
+serve::ServeReport serveSequence(const net::RootedTree& rooted, int numObjects,
+                                 const std::vector<Request>& requests) {
+  serve::ServeOptions options;
+  options.threads = 1;
+  options.replaceDrift = 0.0;
+  serve::EpochServer server(rooted, numObjects, options);
+  serve::VectorStream stream(requests);
+  return server.serve(stream);
+}
 
 TEST(OnlineStrategy, FirstReadTravelsToInitialCopy) {
   const Tree t = net::makeStar(3);
@@ -130,9 +142,9 @@ TEST(Harness, CompetitiveRatioModestOnRandomWorkloads) {
     const workload::Workload load = workload::generate(
         static_cast<workload::Profile>(trial % 6), t, params, rng);
     const auto requests = sequenceFromWorkload(load, rng);
-    const CompetitiveResult result = runCompetitive(rooted, 4, requests);
-    EXPECT_GT(result.onlineCongestion, 0.0);
-    if (result.offlineLowerBound > 0.0) {
+    const serve::ServeReport result = serveSequence(rooted, 4, requests);
+    EXPECT_GT(result.congestion, 0.0);
+    if (result.lowerBound > 0.0) {
       // Loose sanity bound; the bench reports the measured distribution.
       EXPECT_LT(result.ratio, 40.0) << "trial " << trial;
     } else {
@@ -159,11 +171,10 @@ TEST(Harness, RatioIsTrueRatioForSubUnitLowerBounds) {
   // bound of the aggregated frequencies is 0.5 as well.
   const std::vector<Request> requests = {{0, writer, true},
                                          {0, reader, false}};
-  const CompetitiveResult result = runCompetitive(rooted, 1, requests);
-  ASSERT_GT(result.offlineLowerBound, 0.0);
-  ASSERT_LT(result.offlineLowerBound, 1.0);
-  EXPECT_DOUBLE_EQ(result.ratio,
-                   result.onlineCongestion / result.offlineLowerBound);
+  const serve::ServeReport result = serveSequence(rooted, 1, requests);
+  ASSERT_GT(result.lowerBound, 0.0);
+  ASSERT_LT(result.lowerBound, 1.0);
+  EXPECT_DOUBLE_EQ(result.ratio, result.congestion / result.lowerBound);
   EXPECT_GE(result.ratio, 1.0);
 }
 
@@ -173,13 +184,12 @@ TEST(Harness, RatioGuardsZeroLowerBoundExplicitly) {
   // A single remote read: online pays, but with zero write contention
   // the per-edge bound is zero — the ratio must be reported as infinite,
   // not silently divided by 1.
-  const CompetitiveResult paying =
-      runCompetitive(rooted, 1, {{0, 2, false}});
-  EXPECT_EQ(paying.offlineLowerBound, 0.0);
-  EXPECT_GT(paying.onlineCongestion, 0.0);
+  const serve::ServeReport paying = serveSequence(rooted, 1, {{0, 2, false}});
+  EXPECT_EQ(paying.lowerBound, 0.0);
+  EXPECT_GT(paying.congestion, 0.0);
   EXPECT_TRUE(std::isinf(paying.ratio));
   // No requests at all: trivially optimal.
-  const CompetitiveResult idle = runCompetitive(rooted, 1, {});
+  const serve::ServeReport idle = serveSequence(rooted, 1, {});
   EXPECT_DOUBLE_EQ(idle.ratio, 1.0);
 }
 

@@ -132,21 +132,6 @@ ServeOptions makeOptions(int threads, bool pipeline) {
   return options;
 }
 
-std::string digest(const EpochServer& server, const ServeReport& report) {
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << report.congestion << '|' << report.replacements << '|'
-      << report.replications << '|' << report.invalidations;
-  for (const core::Count load : server.loads().edgeLoads()) {
-    oss << ',' << load;
-  }
-  for (ObjectId x = 0; x < kObjects; ++x) {
-    oss << ';';
-    for (const net::NodeId v : server.copySet(x)) oss << v << ' ';
-  }
-  return oss.str();
-}
-
 struct RunResult {
   std::string digest;
   ServeReport report;
@@ -160,7 +145,7 @@ RunResult run(const net::RootedTree& rooted,
   VectorStream stream({events.begin(), events.end()});
   RunResult result;
   result.report = server.serve(stream);
-  result.digest = digest(server, result.report);
+  result.digest = stateDigest(server, result.report);
   result.log = server.epochLog();
   return result;
 }
@@ -204,8 +189,7 @@ TEST(FaultInjectionTest, HandoffFailureRetriesWithinBudget) {
   ServeOptions options = makeOptions(3, true);
   options.faults = util::makeFaultInjector(
       "handoff-fail@epoch" + std::to_string(driftEpoch) + ":times=2");
-  options.handoffRetries = 3;
-  options.handoffBackoffMs = 0.0;
+  options.handoffRetries = 3;  // the two retries back off 1 + 2 ms
   const RunResult retried = run(rooted, events, options);
   EXPECT_EQ(retried.report.handoffRetries, 2u);
   EXPECT_EQ(options.faults->triggered(), 2u);
@@ -217,7 +201,6 @@ TEST(FaultInjectionTest, HandoffFailureRetriesWithinBudget) {
   doomed.faults = util::makeFaultInjector(
       "handoff-fail@epoch" + std::to_string(driftEpoch) + ":times=10");
   doomed.handoffRetries = 2;
-  doomed.handoffBackoffMs = 0.0;
   EpochServer server(rooted, kObjects, doomed);
   VectorStream stream({events.begin(), events.end()});
   try {

@@ -102,7 +102,7 @@ std::vector<Request> randomRequests(const net::Tree& tree, int numObjects,
 }
 
 /// Serves `requests` through `policy` shard-by-shard and returns the
-/// merged loads (the competitive harness's serving loop in miniature).
+/// merged loads (the serving engine's object loop in miniature).
 LoadMap serveAll(OnlinePolicy& policy, const net::Tree& tree, int numObjects,
                  const std::vector<Request>& requests, bool useAccumulator) {
   std::vector<std::size_t> offsets(static_cast<std::size_t>(numObjects) + 1);
@@ -310,37 +310,38 @@ TEST(OnlinePolicy, StaticServesFrozenPossiblyDisconnectedCopySets) {
   }
 }
 
-TEST(OnlinePolicy, RunCompetitiveAcceptsPolicySpecs) {
+TEST(OnlinePolicy, CompetitiveRunsAcceptPolicySpecs) {
   util::Rng rng(23);
   const net::Tree tree = net::makeClusterNetwork(2, 3);
   const net::RootedTree rooted(tree, tree.defaultRoot());
   const std::vector<Request> requests =
       randomRequests(tree, 4, 2000, 0.2, rng);
+  // A competitive run: the serving engine with the drift handoff off.
+  const auto serveWith = [&](const std::string& spec) {
+    serve::ServeOptions options;
+    options.threads = 1;
+    options.replaceDrift = 0.0;
+    options.policy = spec;
+    serve::EpochServer server(rooted, 4, options);
+    serve::VectorStream stream(requests);
+    return server.serve(stream);
+  };
 
-  // The OnlineOptions overload is exactly the tree-counters spec.
+  // OnlineOptions render as exactly the equivalent tree-counters spec.
   OnlineOptions options;
-  options.replicationThreshold = 2;
-  const CompetitiveResult viaOptions =
-      runCompetitive(rooted, 4, requests, options);
-  const CompetitiveResult viaSpec =
-      runCompetitive(rooted, 4, requests, treeCountersSpec(options));
-  EXPECT_EQ(viaOptions.onlineCongestion, viaSpec.onlineCongestion);
-  EXPECT_EQ(viaOptions.replications, viaSpec.replications);
-  EXPECT_EQ(viaOptions.invalidations, viaSpec.invalidations);
+  options.replicationThreshold = 3;
+  EXPECT_EQ(treeCountersSpec(options), "tree-counters:threshold=3,contract=1");
 
-  // Every registered policy runs through the same harness; the frozen
+  // Every registered policy runs through the same engine; the frozen
   // foils bracket the counter scheme's traffic profile.
   for (const char* spec :
        {"static:placement=extended-nibble", "full-replication",
         "owner-only"}) {
-    const CompetitiveResult result = runCompetitive(rooted, 4, requests,
-                                                    std::string(spec));
-    EXPECT_GT(result.onlineCongestion, 0.0) << spec;
+    const serve::ServeReport result = serveWith(spec);
+    EXPECT_GT(result.congestion, 0.0) << spec;
     EXPECT_EQ(result.replications, 0) << spec;
   }
-  EXPECT_THROW((void)runCompetitive(rooted, 4, requests,
-                                    std::string("nope")),
-               std::invalid_argument);
+  EXPECT_THROW((void)serveWith("nope"), std::invalid_argument);
 }
 
 TEST(EpochServerPolicy, ReportCarriesPolicySpecAndMetrics) {

@@ -20,7 +20,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -230,17 +229,7 @@ TEST(PolicyConformance, BitIdenticalAcrossThreadsAndEngines) {
       serve::EpochServer server(rooted, kObjects, options);
       serve::VectorStream stream({events.begin(), events.end()});
       const serve::ServeReport report = server.serve(stream);
-      std::ostringstream oss;
-      oss.precision(17);
-      oss << report.congestion << '|' << report.replacements;
-      for (const Count load : server.loads().edgeLoads()) {
-        oss << ',' << load;
-      }
-      for (ObjectId x = 0; x < kObjects; ++x) {
-        oss << ';';
-        for (const net::NodeId v : server.copySet(x)) oss << v << ' ';
-      }
-      return oss.str();
+      return serve::stateDigest(server, report);
     };
     const std::string reference = digest(1, /*pipeline=*/false);
     EXPECT_EQ(reference, digest(3, /*pipeline=*/false));

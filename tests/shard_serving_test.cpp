@@ -7,7 +7,6 @@
 // coordinator option validation.
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -56,17 +55,6 @@ std::vector<workload::RequestEvent> makeEvents(const net::Tree& tree) {
   return events;
 }
 
-std::string digestOf(const serve::ServeReport& report,
-                     const core::LoadMap& loads) {
-  std::ostringstream oss;
-  oss.precision(17);
-  oss << report.congestion << '|' << report.lowerBound << '|'
-      << report.ratio << '|' << report.replacements << '|'
-      << report.replications << '|' << report.invalidations;
-  for (const core::Count load : loads.edgeLoads()) oss << ',' << load;
-  return oss.str();
-}
-
 std::string singleProcessDigest(
     const net::Tree& tree,
     const std::vector<workload::RequestEvent>& events,
@@ -79,7 +67,7 @@ std::string singleProcessDigest(
   options.policy = policy;
   serve::EpochServer server(rooted, kObjects, options);
   const serve::ServeReport report = server.serve(stream);
-  return digestOf(report, server.loads());
+  return serve::stateDigest(report, server.loads());
 }
 
 ShardOptions baseOptions(const std::string& policy) {
@@ -103,7 +91,7 @@ std::string shardedDigest(const net::Tree& tree,
                                "test");
   const ShardedReport report = coordinator.serve(stream);
   cluster.join();
-  return digestOf(report, coordinator.loads());
+  return serve::stateDigest(report, coordinator.loads());
 }
 
 // The core identity: for every registered policy, sharded serving over

@@ -2,14 +2,10 @@
 //
 // Usage:
 //   hbn_place [options] <tree-file> <workload-file>
-//   hbn_place --bench [hbn_bench arguments...]
 //
 // Strategies come from the engine registry (see --help for the generated
 // list); --threads shards the per-object work over a pool with
-// bit-identical output for any thread count. `--bench` forwards the
-// remaining arguments to the hbn_bench experiment driver, so the
-// strategy and experiment surfaces share one binary and one CLI
-// vocabulary.
+// bit-identical output for any thread count.
 //
 // Reads a hierarchical bus network (hbn-tree v1 text format, see
 // hbn/net/serialize.h) and a workload (hbn-workload v1, see
@@ -20,16 +16,12 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <string_view>
-#include <vector>
 
-#include "experiments/experiments.h"
 #include "hbn/core/load.h"
 #include "hbn/core/lower_bound.h"
 #include "hbn/engine/cli.h"
 #include "hbn/engine/registry.h"
 #include "hbn/net/serialize.h"
-#include "hbn/shard/process.h"
 #include "hbn/util/stats.h"
 #include "hbn/util/table.h"
 #include "hbn/workload/serialize.h"
@@ -47,8 +39,7 @@ std::string readFile(const std::string& path) {
 }
 
 void printUsage(std::ostream& os) {
-  os << "usage: hbn_place [options] <tree-file> <workload-file>\n"
-        "       hbn_place --bench [hbn_bench arguments...]\n\n"
+  os << "usage: hbn_place [options] <tree-file> <workload-file>\n\n"
      << hbn::engine::cliHelp();
 }
 
@@ -56,23 +47,6 @@ void printUsage(std::ostream& os) {
 
 int main(int argc, char** argv) {
   using namespace hbn;
-  // `--bench e16` spawns exec-cluster workers from this binary; a worker
-  // invocation short-circuits here.
-  if (const int code = shard::maybeRunWorkerMain(argc, argv); code >= 0) {
-    return code;
-  }
-  // `hbn_place --bench ...` hands everything after the flag to the
-  // unified experiment driver (same registry, same JSON emission as
-  // hbn_bench). It must come first: placement arguments cannot be mixed
-  // into a bench invocation.
-  if (argc > 1 && std::string_view(argv[1]) == "--bench") {
-    std::vector<char*> rest;
-    rest.reserve(static_cast<std::size_t>(argc - 1));
-    rest.push_back(argv[0]);
-    for (int j = 2; j < argc; ++j) rest.push_back(argv[j]);
-    return engine::runBenchCli(bench::experiments(),
-                               static_cast<int>(rest.size()), rest.data());
-  }
   try {
     const engine::CliOptions cli = engine::parseCli(argc, argv);
     if (cli.help) {
