@@ -101,10 +101,9 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       return options;
     };
     struct Timed {
-      double wallMs = 0.0;
-      double requestsPerSec = 0.0;
-      std::string digest;
+      /// The fastest of K runs (min-of-K wall clock).
       serve::ServeReport report;
+      std::string digest;
       /// Median time of one checkpoint (snapshot + file write) of the
       /// run's end state; 0 for uncheckpointed runs.
       double checkpointMs = 0.0;
@@ -115,18 +114,12 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       for (int i = 0; i < kTimingRuns; ++i) {
         serve::EpochServer server(rooted, objects, options);
         serve::VectorStream stream({events.begin(), events.end()});
-        util::Timer timer;
         const serve::ServeReport report = server.serve(stream);
-        const double wall = timer.millis();
-        reporter.addTiming(wall);
-        if (i == 0 || wall < best.wallMs) {
-          best.wallMs = wall;
-          best.requestsPerSec = report.requestsPerSec;
-        }
-        if (i == 0) {
-          best.digest = serve::stateDigest(server, report);
+        reporter.addTiming(report.wallMs);
+        if (i == 0 || report.wallMs < best.report.wallMs) {
           best.report = report;
         }
+        if (i == 0) best.digest = serve::stateDigest(server, report);
         if (i == 0 && !options.checkpointDir.empty()) {
           util::Accumulator writeMs;
           for (int k = 0; k < kCheckpointTimings; ++k) {
@@ -157,15 +150,16 @@ class FaultRecoveryExperiment final : public engine::Experiment {
     checkpointed.checkpointDir = (dir / "overhead").string();
     checkpointed.checkpointEvery = 128;
     const Timed withCkpt = timedRun(checkpointed);
+    const double baselineMs = baseline.report.wallMs;
     const double overheadPct =
-        baseline.wallMs > 0.0
+        baselineMs > 0.0
             ? withCkpt.checkpointMs *
                   static_cast<double>(withCkpt.report.checkpoints) /
-                  baseline.wallMs * 100.0
+                  baselineMs * 100.0
             : 0.0;
     const double wallOverheadPct =
-        baseline.wallMs > 0.0
-            ? (withCkpt.wallMs - baseline.wallMs) / baseline.wallMs * 100.0
+        baselineMs > 0.0
+            ? (withCkpt.report.wallMs - baselineMs) / baselineMs * 100.0
             : 0.0;
     const bool checkpointNeutral = withCkpt.digest == baseline.digest;
 
@@ -189,6 +183,7 @@ class FaultRecoveryExperiment final : public engine::Experiment {
     double recoveryMs = 0.0;
     double restoredFromEpoch = 0.0;
     bool recoveryIdentical = false;
+    serve::ServeReport recovered;
     if (killed) {
       util::Timer timer;
       const serve::CheckpointData data =
@@ -197,12 +192,12 @@ class FaultRecoveryExperiment final : public engine::Experiment {
       server.restoreFrom(data);
       serve::VectorStream stream({events.begin(), events.end()});
       serve::skipRequests(stream, data.servedTotal);
-      const serve::ServeReport report = server.serve(stream);
+      recovered = server.serve(stream);
       recoveryMs = timer.millis();
       reporter.addTiming(recoveryMs);
       restoredFromEpoch = static_cast<double>(data.epochs);
       recoveryIdentical =
-          serve::stateDigest(server, report) == baseline.digest;
+          serve::stateDigest(server, recovered) == baseline.digest;
     }
 
     // --- Phase 3: degraded-mode throughput ------------------------------
@@ -214,22 +209,20 @@ class FaultRecoveryExperiment final : public engine::Experiment {
     {
       serve::EpochServer server(rooted, objects, degraded);
       serve::VectorStream stream({events.begin(), events.end()});
-      util::Timer timer;
-      const serve::ServeReport report = server.serve(stream);
-      degradedRun.wallMs = timer.millis();
-      reporter.addTiming(degradedRun.wallMs);
-      degradedRun.requestsPerSec = report.requestsPerSec;
-      degradedRun.digest = serve::stateDigest(server, report);
-      degradedRun.report = report;
+      degradedRun.report = server.serve(stream);
+      reporter.addTiming(degradedRun.report.wallMs);
+      degradedRun.digest = serve::stateDigest(server, degradedRun.report);
     }
     const bool degradedIdentical = degradedRun.digest == baseline.digest;
     const bool watchdogFired = degradedRun.report.degradedEpochs >= 1;
 
     util::Table table({"phase", "wall ms", "Mreq/s", "notes"});
-    table.addRow({"baseline", util::formatDouble(baseline.wallMs, 1),
-                  util::formatDouble(baseline.requestsPerSec / 1e6, 2), "-"});
-    table.addRow({"checkpointed", util::formatDouble(withCkpt.wallMs, 1),
-                  util::formatDouble(withCkpt.requestsPerSec / 1e6, 2),
+    table.addRow({"baseline", util::formatDouble(baselineMs, 1),
+                  util::formatDouble(baseline.report.requestsPerSec / 1e6, 2),
+                  "-"});
+    table.addRow({"checkpointed",
+                  util::formatDouble(withCkpt.report.wallMs, 1),
+                  util::formatDouble(withCkpt.report.requestsPerSec / 1e6, 2),
                   "overhead " + util::formatDouble(overheadPct, 2) + "% (" +
                       std::to_string(withCkpt.report.checkpoints) + " x " +
                       util::formatDouble(withCkpt.checkpointMs, 2) +
@@ -240,8 +233,10 @@ class FaultRecoveryExperiment final : public engine::Experiment {
                       util::formatDouble(restoredFromEpoch, 0) +
                       (recoveryIdentical ? ", digest identical"
                                          : ", DIGEST DIVERGED")});
-    table.addRow({"degraded", util::formatDouble(degradedRun.wallMs, 1),
-                  util::formatDouble(degradedRun.requestsPerSec / 1e6, 2),
+    table.addRow({"degraded",
+                  util::formatDouble(degradedRun.report.wallMs, 1),
+                  util::formatDouble(degradedRun.report.requestsPerSec / 1e6,
+                                     2),
                   std::to_string(degradedRun.report.degradedEpochs) +
                       " degraded epochs"});
     table.print(ctx.os());
@@ -253,39 +248,32 @@ class FaultRecoveryExperiment final : public engine::Experiment {
              << " ms, digest "
              << (recoveryIdentical ? "identical" : "DIVERGED")
              << "; degraded-mode "
-             << util::formatDouble(degradedRun.requestsPerSec / 1e6, 2)
+             << util::formatDouble(degradedRun.report.requestsPerSec / 1e6, 2)
              << " Mreq/s, digest "
              << (degradedIdentical ? "identical" : "DIVERGED") << "\n";
 
+    // Each row is its run's report (serve::writeReportFields) plus the
+    // phase's own measurements.
     reporter.beginRow();
-    reporter.field("phase", std::string("baseline"));
-    reporter.field("wall_ms", baseline.wallMs);
-    reporter.field("requests_per_sec", baseline.requestsPerSec);
+    reporter.field("phase", "baseline");
+    serve::writeReportFields(reporter, baseline.report);
     reporter.beginRow();
-    reporter.field("phase", std::string("checkpointed"));
-    reporter.field("wall_ms", withCkpt.wallMs);
-    reporter.field("requests_per_sec", withCkpt.requestsPerSec);
+    reporter.field("phase", "checkpointed");
     reporter.field("checkpoint_overhead_pct", overheadPct);
-    reporter.field("checkpoint_ms", withCkpt.checkpointMs);
-    reporter.field("checkpoint_bytes",
-                   static_cast<std::int64_t>(withCkpt.report.checkpointBytes));
+    reporter.field("checkpoint_write_ms_p50", withCkpt.checkpointMs);
     reporter.field("wall_overhead_pct", wallOverheadPct);
-    reporter.field("checkpoints",
-                   static_cast<std::int64_t>(withCkpt.report.checkpoints));
+    serve::writeReportFields(reporter, withCkpt.report);
     reporter.beginRow();
-    reporter.field("phase", std::string("kill-restore"));
-    reporter.field("kill_epoch", static_cast<std::int64_t>(killEpoch));
+    reporter.field("phase", "kill-restore");
+    reporter.field("kill_epoch", killEpoch);
     reporter.field("restored_from_epoch", restoredFromEpoch);
     reporter.field("recovery_ms", recoveryMs);
     reporter.field("digest_identical", recoveryIdentical);
+    if (killed) serve::writeReportFields(reporter, recovered);
     reporter.beginRow();
-    reporter.field("phase", std::string("degraded"));
-    reporter.field("wall_ms", degradedRun.wallMs);
-    reporter.field("requests_per_sec", degradedRun.requestsPerSec);
-    reporter.field("degraded_epochs",
-                   static_cast<std::int64_t>(
-                       degradedRun.report.degradedEpochs));
+    reporter.field("phase", "degraded");
     reporter.field("digest_identical", degradedIdentical);
+    serve::writeReportFields(reporter, degradedRun.report);
 
     reporter.check(
         "kill + restore ends bit-identical to an uninterrupted run",

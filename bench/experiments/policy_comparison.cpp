@@ -159,26 +159,9 @@ class PolicyComparisonExperiment final : public engine::Experiment {
                       std::to_string(report.replacements)});
         reporter.beginRow();
         reporter.field("stream", config.label);
-        reporter.field("policy", policy);
-        reporter.field("requests",
-                       static_cast<std::int64_t>(report.totalRequests));
-        reporter.field("epochs", static_cast<std::int64_t>(report.epochs));
         reporter.field("objects", objects);
         reporter.field("threads", ctx.threads);
-        reporter.field("wall_ms", report.wallMs);
-        reporter.field("requests_per_sec", report.requestsPerSec);
-        reporter.field("congestion", report.congestion);
-        reporter.field("lower_bound", report.lowerBound);
-        reporter.field("ratio", report.ratio);
-        reporter.field("replacements",
-                       static_cast<std::int64_t>(report.replacements));
-        reporter.field("replications",
-                       static_cast<std::int64_t>(report.replications));
-        reporter.field("invalidations",
-                       static_cast<std::int64_t>(report.invalidations));
-        for (const auto& [key, value] : report.policyMetrics) {
-          reporter.field(key, value);
-        }
+        serve::writeReportFields(reporter, report);
       }
     }
     table.print(ctx.os());

@@ -76,8 +76,9 @@ constexpr double kThroughputParityFloorSmoke = 0.80;
 // The parity ratio is the median over this many interleaved
 // barrier/pipelined pairs: one pair's ratio moves with whatever else the
 // host runs during either run, the median of interleaved pairs does not.
-constexpr int kParityPairsFull = 5;
-constexpr int kParityPairsSmoke = 3;
+// Smoke mode runs as many pairs as full mode: a median of 3 pairs fell
+// below the smoke floor in 1 of 30 standalone runs on a 4-core host.
+constexpr int kParityPairs = 5;
 // Worker thread counts of the thread-scaling rows.
 constexpr int kScalingThreads[] = {1, 2, 4};
 
@@ -118,8 +119,9 @@ class ServingThroughputExperiment final : public engine::Experiment {
              << ", threads=" << ctx.threads << "\n\n";
 
     // Every row this experiment emits — profile sweeps and handoff
-    // comparisons alike — carries the same latency schema, so the CI
-    // trajectory consumers can require the fields uniformly.
+    // comparisons alike — carries the full report schema
+    // (serve::writeReportFields), so the CI trajectory consumers can
+    // require the fields uniformly.
     const auto emitRow = [&reporter](
                              const char* stream, const char* variant,
                              const serve::ServeReport& report,
@@ -128,33 +130,10 @@ class ServingThroughputExperiment final : public engine::Experiment {
       reporter.beginRow();
       reporter.field("stream", stream);
       if (variant != nullptr) reporter.field("variant", variant);
-      reporter.field("pipeline", report.pipeline);
-      reporter.field("requests",
-                     static_cast<std::int64_t>(report.totalRequests));
-      reporter.field("epochs", static_cast<std::int64_t>(report.epochs));
-      reporter.field("epoch_size", static_cast<std::int64_t>(rowEpochSize));
+      reporter.field("epoch_size", rowEpochSize);
       reporter.field("objects", rowObjects);
       reporter.field("threads", rowThreads);
-      reporter.field("wall_ms", report.wallMs);
-      reporter.field("requests_per_sec", report.requestsPerSec);
-      reporter.field("epoch_ms_p50", report.epochMsP50);
-      reporter.field("epoch_ms_p99", report.epochMsP99);
-      reporter.field("epoch_ms_p999", report.epochMsP999);
-      reporter.field("latency_ms_p50", report.latencyMsP50);
-      reporter.field("latency_ms_p99", report.latencyMsP99);
-      reporter.field("latency_ms_p999", report.latencyMsP999);
-      reporter.field("latency_samples",
-                     static_cast<std::int64_t>(report.latencySamples));
-      reporter.field("congestion", report.congestion);
-      reporter.field("lower_bound", report.lowerBound);
-      reporter.field("ratio", report.ratio);
-      reporter.field("replacements",
-                     static_cast<std::int64_t>(report.replacements));
-      reporter.field("replications",
-                     static_cast<std::int64_t>(report.replications));
-      reporter.field("invalidations",
-                     static_cast<std::int64_t>(report.invalidations));
-      reporter.field("worker_imbalance", report.workerImbalance);
+      serve::writeReportFields(reporter, report);
     };
     util::Table table({"stream", "requests", "epochs", "Mreq/s",
                        "epoch p99 ms", "req p99 ms", "ratio",
@@ -220,7 +199,6 @@ class ServingThroughputExperiment final : public engine::Experiment {
     // K interleaved barrier/pipelined pairs: the first pair's rows and
     // latency wins are reported, the throughput parity is the median
     // of the pairs' ratios, and every pair must be bit-identical.
-    const int parityPairs = ctx.smoke ? kParityPairsSmoke : kParityPairsFull;
     std::string barrierDigest;
     std::string pipelinedDigest;
     const serve::ServeReport barrier = latencyRun(false, &barrierDigest);
@@ -238,7 +216,7 @@ class ServingThroughputExperiment final : public engine::Experiment {
     bool bitIdentical = barrierDigest == pipelinedDigest;
     util::Accumulator parityRatios;
     parityRatios.add(parityOf(barrier, pipelined));
-    for (int pair = 1; pair < parityPairs; ++pair) {
+    for (int pair = 1; pair < kParityPairs; ++pair) {
       std::string barrierPairDigest;
       std::string pipelinedPairDigest;
       const serve::ServeReport barrierPair =
@@ -272,7 +250,7 @@ class ServingThroughputExperiment final : public engine::Experiment {
              << util::formatDouble(barrier.requestsPerSec / 1e6, 2)
              << " Mreq/s barrier vs "
              << util::formatDouble(pipelined.requestsPerSec / 1e6, 2)
-             << " Mreq/s pipelined (median ratio over " << parityPairs
+             << " Mreq/s pipelined (median ratio over " << kParityPairs
              << " pairs " << util::formatDouble(throughputParity, 2)
              << ")\n  serving state "
              << (bitIdentical ? "bit-identical" : "DIVERGED") << "\n";
@@ -361,7 +339,7 @@ class ServingThroughputExperiment final : public engine::Experiment {
     const bool servedAll =
         totalServed == (3 + std::size(kScalingThreads)) * perProfile +
                            2 * handoffRequests +
-                           2 * static_cast<std::uint64_t>(parityPairs) *
+                           2 * static_cast<std::uint64_t>(kParityPairs) *
                                kLatencyRequests &&
         (requestsOverride_ > 0 || totalServed >= 1'000'000ULL);
     const bool ratioHeld = worstRatio <= kRatioBound;

@@ -196,21 +196,8 @@ class ShardedServingExperiment final : public engine::Experiment {
 
         reporter.beginRow();
         reporter.field("phase", "identity");
-        reporter.field("policy", policy);
-        reporter.field("transport", "loopback");
-        reporter.field("workers", workers);
-        reporter.field("requests", static_cast<std::int64_t>(
-                                       shardedReport.totalRequests));
-        reporter.field("congestion", shardedReport.congestion);
-        reporter.field("lower_bound", shardedReport.lowerBound);
-        reporter.field("ratio", shardedReport.ratio);
-        reporter.field("replacements", static_cast<std::int64_t>(
-                                           shardedReport.replacements));
-        reporter.field("cross_shard_bytes",
-                       static_cast<std::int64_t>(
-                           shardedReport.crossShardBytes));
-        reporter.field("bytes_per_request", shardedReport.bytesPerRequest);
         reporter.field("digest_matches_single_process", match);
+        shard::writeReportFields(reporter, shardedReport);
       }
       identityTable.addRow({policy,
                             util::formatDouble(report.congestion, 1),
@@ -275,28 +262,8 @@ class ShardedServingExperiment final : public engine::Experiment {
 
       reporter.beginRow();
       reporter.field("phase", "scaling");
-      reporter.field("policy", kScalingPolicy);
-      reporter.field("transport", "loopback");
-      reporter.field("workers", workers);
-      reporter.field("requests",
-                     static_cast<std::int64_t>(report.totalRequests));
-      reporter.field("epochs", static_cast<std::int64_t>(report.epochs));
-      reporter.field("wall_ms", report.wallMs);
-      reporter.field("requests_per_sec", report.requestsPerSec);
-      reporter.field("critical_path_ms", report.criticalPathMs);
-      reporter.field("requests_per_sec_critical",
-                     report.requestsPerSecCritical);
       reporter.field("speedup_critical", speedup);
-      reporter.field("epoch_ms_p50", report.epochMsP50);
-      reporter.field("epoch_ms_p99", report.epochMsP99);
-      reporter.field("congestion", report.congestion);
-      reporter.field("lower_bound", report.lowerBound);
-      reporter.field("ratio", report.ratio);
-      reporter.field("replacements",
-                     static_cast<std::int64_t>(report.replacements));
-      reporter.field("cross_shard_bytes",
-                     static_cast<std::int64_t>(report.crossShardBytes));
-      reporter.field("bytes_per_request", report.bytesPerRequest);
+      shard::writeReportFields(reporter, report);
     }
     ctx.os() << "\ncritical-path scaling, " << kScalingPolicy
              << " policy on the skewed stream:\n";

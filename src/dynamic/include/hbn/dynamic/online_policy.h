@@ -240,11 +240,6 @@ void applyHandoffTarget(OnlinePolicy& policy, ObjectId x,
                         core::FlatLoadAccumulator& acc,
                         core::LoadMap& migration);
 
-/// Renders OnlineOptions as the equivalent tree-counters spec
-/// ("tree-counters:threshold=D,contract=0|1") — the bridge legacy
-/// OnlineOptions call sites (CLI --threshold) use to reach the registry.
-[[nodiscard]] std::string treeCountersSpec(const OnlineOptions& options);
-
 namespace detail {
 /// Implemented in online_policy.cpp; wires every built-in policy into
 /// the registry that OnlinePolicyRegistry::global() hands out.

@@ -5,7 +5,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -595,13 +594,6 @@ void applyHandoffTarget(OnlinePolicy& policy, ObjectId x,
   terminals.insert(terminals.end(), target.begin(), target.end());
   acc.chargeSteiner(terminals, 1, migration);
   policy.resetCopySet(x, target);
-}
-
-std::string treeCountersSpec(const OnlineOptions& options) {
-  std::ostringstream oss;
-  oss << "tree-counters:threshold=" << options.replicationThreshold
-      << ",contract=" << (options.contractOnWrite ? 1 : 0);
-  return oss.str();
 }
 
 OnlinePolicyRegistry& OnlinePolicyRegistry::global() {

@@ -93,6 +93,9 @@ class BenchReporter {
   void field(std::string_view key, int value) {
     field(key, static_cast<std::int64_t>(value));
   }
+  void field(std::string_view key, std::uint64_t value) {
+    field(key, static_cast<std::int64_t>(value));
+  }
   void field(std::string_view key, double value);
   void field(std::string_view key, bool value);
 

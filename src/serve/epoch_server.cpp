@@ -237,6 +237,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
   report.degradedEpochs = degradedEpochs_;
   report.handoffRetries = handoffRetriesUsed_;
   report.checkpoints = checkpointsWritten_;
+  report.checkpointWrites = checkpointWrites_;
   report.checkpointMs = checkpointMs_;
   report.checkpointBytes = checkpointBytes_;
   report.policyMetrics = policy_->metrics();
@@ -455,8 +456,12 @@ void EpochServer::retireAppliedPasses() {
 void EpochServer::writeCheckpointAt(std::uint64_t epochs) {
   util::Timer timer;
   try {
+    CheckpointData data = snapshotStateAt(epochs);
+    // The checkpoint counts itself: a restore from it resumes with the
+    // count an uninterrupted run has at this boundary.
+    ++data.checkpointsWritten;
     const std::string path =
-        writeCheckpointFile(snapshotStateAt(epochs), options_.checkpointDir);
+        writeCheckpointFile(data, options_.checkpointDir);
     checkpointBytes_ = std::filesystem::file_size(path);
   } catch (const Error&) {
     throw;
@@ -464,6 +469,7 @@ void EpochServer::writeCheckpointAt(std::uint64_t epochs) {
     throw Error(Stage::Checkpoint, epochs == 0 ? 0 : epochs - 1, e.what());
   }
   ++checkpointsWritten_;
+  ++checkpointWrites_;
   checkpointMs_ += timer.millis();
 }
 

@@ -216,13 +216,85 @@ struct ServeReport {
   std::uint64_t degradedEpochs = 0;
   std::uint64_t handoffRetries = 0;
   std::uint64_t checkpoints = 0;
-  /// Checkpoint cost over this server's lifetime (wall-clock, so not
-  /// restored and never part of a digest): total milliseconds spent
-  /// writing checkpoints (snapshot, encode, file write and publish),
-  /// and the size of the last checkpoint file written (0 before any).
+  /// Checkpoint cost of this server instance (wall-clock, so not
+  /// restored and never part of a digest): the checkpoints it wrote
+  /// itself (`checkpoints` minus any restored count), the total
+  /// milliseconds spent writing them (snapshot, encode, file write and
+  /// publish), and the size of the last one (0 before any).
+  std::uint64_t checkpointWrites = 0;
   double checkpointMs = 0.0;
   std::uint64_t checkpointBytes = 0;
 };
+
+// The one writer of the serve records' JSON keys. hbn_serve --json and
+// the serving experiments' BENCH rows call these, adding only their
+// run-context keys (stream, seed, threads, ...); a new report field
+// gets its key here and nowhere else. `Sink` is util::JsonRecords or
+// engine::BenchReporter (both have the field() overload set).
+namespace detail {
+/// Every record counts the requests it covers.
+template <class Sink>
+void writeRequests(Sink& sink, std::uint64_t requests) {
+  sink.field("requests", requests);
+}
+/// The paper's quantities and the run's latency at one point, under
+/// member names EpochRecord and ServeReport share.
+template <class Sink, class Record>
+void writeServingFields(Sink& sink, const Record& r) {
+  sink.field("wall_ms", r.wallMs);
+  sink.field("congestion", r.congestion);
+  sink.field("lower_bound", r.lowerBound);
+  // +inf (positive congestion over a zero bound) is emitted as null.
+  sink.field("ratio", r.ratio);
+  sink.field("latency_ms_p50", r.latencyMsP50);
+  sink.field("latency_ms_p99", r.latencyMsP99);
+  sink.field("latency_ms_p999", r.latencyMsP999);
+  sink.field("worker_imbalance", r.workerImbalance);
+}
+/// Copy-set churn and the policy's own diagnostics (keys already
+/// "policy."-prefixed), under member names ServeReport and
+/// shard::ShardBreakdown share.
+template <class Sink, class Record>
+void writePolicyFields(Sink& sink, const Record& r) {
+  sink.field("replications", r.replications);
+  sink.field("invalidations", r.invalidations);
+  for (const auto& [key, value] : r.policyMetrics) sink.field(key, value);
+}
+}  // namespace detail
+
+/// One epoch record's fields (docs/serving.md lists keys and units).
+template <class Sink>
+void writeEpochFields(Sink& sink, const EpochRecord& r) {
+  sink.field("epoch", r.index);
+  detail::writeRequests(sink, r.requests);
+  detail::writeServingFields(sink, r);
+  sink.field("replaced", r.replaced);
+  sink.field("degraded", r.degraded);
+  sink.field("checkpointed", r.checkpointed);
+}
+
+/// A run's summary fields (docs/serving.md lists keys and units).
+template <class Sink>
+void writeReportFields(Sink& sink, const ServeReport& r) {
+  sink.field("policy", r.policy);
+  sink.field("pipeline", r.pipeline);
+  detail::writeRequests(sink, r.totalRequests);
+  sink.field("epochs", r.epochs);
+  detail::writeServingFields(sink, r);
+  sink.field("requests_per_sec", r.requestsPerSec);
+  sink.field("epoch_ms_p50", r.epochMsP50);
+  sink.field("epoch_ms_p99", r.epochMsP99);
+  sink.field("epoch_ms_p999", r.epochMsP999);
+  sink.field("latency_samples", r.latencySamples);
+  sink.field("replacements", r.replacements);
+  sink.field("degraded_epochs", r.degradedEpochs);
+  sink.field("handoff_retries", r.handoffRetries);
+  sink.field("checkpoints", r.checkpoints);
+  sink.field("checkpoint_writes", r.checkpointWrites);
+  sink.field("checkpoint_ms", r.checkpointMs);
+  sink.field("checkpoint_bytes", r.checkpointBytes);
+  detail::writePolicyFields(sink, r);
+}
 
 /// Finishes a run's report the same way in both engines: throughput,
 /// epoch and request-latency percentiles, and the ratio of the
@@ -440,6 +512,7 @@ class EpochServer {
   std::uint64_t degradedEpochs_ = 0;
   std::uint64_t handoffRetriesUsed_ = 0;
   std::uint64_t checkpointsWritten_ = 0;
+  std::uint64_t checkpointWrites_ = 0;
   double checkpointMs_ = 0.0;
   std::uint64_t checkpointBytes_ = 0;
   /// Run-level request-latency reservoir (persists across serve calls).

@@ -102,6 +102,32 @@ struct ShardedReport : serve::ServeReport {
   std::vector<ShardBreakdown> shards;
 };
 
+/// One shard record's fields; the shard-side counterpart of
+/// serve::writeEpochFields (docs/serving.md lists keys and units).
+template <class Sink>
+void writeShardFields(Sink& sink, const ShardBreakdown& b) {
+  sink.field("shard", b.shard);
+  serve::detail::writeRequests(sink, b.requests);
+  sink.field("busy_ms", b.busyMs);
+  sink.field("bytes_to_worker", b.bytesToWorker);
+  sink.field("bytes_from_worker", b.bytesFromWorker);
+  serve::detail::writePolicyFields(sink, b);
+}
+
+/// A sharded run's summary fields: the single-process summary plus the
+/// shard layer's seven keys.
+template <class Sink>
+void writeReportFields(Sink& sink, const ShardedReport& r) {
+  serve::writeReportFields(sink, r);
+  sink.field("transport", r.transport);
+  sink.field("partition", r.partition);
+  sink.field("workers", r.workers);
+  sink.field("critical_path_ms", r.criticalPathMs);
+  sink.field("requests_per_sec_critical", r.requestsPerSecCritical);
+  sink.field("cross_shard_bytes", r.crossShardBytes);
+  sink.field("bytes_per_request", r.bytesPerRequest);
+}
+
 class ShardCoordinator {
  public:
   /// `tree` must outlive the coordinator. `links` are connected

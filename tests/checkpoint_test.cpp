@@ -155,17 +155,31 @@ TEST(Checkpoint, KillRestoreIsBitIdentical) {
       for (const int threads : {1, 3}) {
         SCOPED_TRACE(spec + (pipeline ? " pipelined" : " barrier") +
                      " threads=" + std::to_string(threads));
-        const std::string reference = serveUninterrupted(
-            rooted, events, makeOptions(spec, threads, pipeline));
-
-        // The doomed run: checkpoint every epoch, die at kKillEpoch.
+        // Every run checkpoints every epoch (digest-neutral), so the
+        // restored run's checkpoint count has a reference too.
         const std::filesystem::path dir = freshDir("kill");
+        ServeOptions options = makeOptions(spec, threads, pipeline);
+        options.checkpointDir = dir.string();
+        std::string reference;
+        std::uint64_t referenceCheckpoints = 0;
         {
-          ServeOptions options = makeOptions(spec, threads, pipeline);
-          options.checkpointDir = dir.string();
-          options.faults = util::makeFaultInjector(
+          const std::filesystem::path referenceDir = freshDir("reference");
+          ServeOptions uninterrupted = options;
+          uninterrupted.checkpointDir = referenceDir.string();
+          EpochServer server(rooted, kObjects, uninterrupted);
+          VectorStream stream({events.begin(), events.end()});
+          const ServeReport report = server.serve(stream);
+          reference = stateDigest(server, report);
+          referenceCheckpoints = report.checkpoints;
+          std::filesystem::remove_all(referenceDir);
+        }
+
+        // The doomed run: die at kKillEpoch.
+        {
+          ServeOptions doomed = options;
+          doomed.faults = util::makeFaultInjector(
               "shard-throw@epoch" + std::to_string(kKillEpoch));
-          EpochServer server(rooted, kObjects, options);
+          EpochServer server(rooted, kObjects, doomed);
           VectorStream stream({events.begin(), events.end()});
           try {
             (void)server.serve(stream);
@@ -182,14 +196,18 @@ TEST(Checkpoint, KillRestoreIsBitIdentical) {
             readCheckpointFile(latestCheckpointPath(dir.string()));
         EXPECT_EQ(data.epochs, kKillEpoch);
         EXPECT_EQ(data.servedTotal, kKillEpoch * kEpochSize);
-        EpochServer server(rooted, kObjects,
-                           makeOptions(spec, threads, pipeline));
+        EpochServer server(rooted, kObjects, options);
         server.restoreFrom(data);
         VectorStream stream({events.begin(), events.end()});
         skipRequests(stream, data.servedTotal);
         const ServeReport report = server.serve(stream);
         EXPECT_EQ(report.totalRequests, kRequests - data.servedTotal);
         EXPECT_EQ(stateDigest(server, report), reference);
+        // The lifetime count matches the uninterrupted run's; the writes
+        // (and their cost) are this server's own.
+        EXPECT_EQ(report.checkpoints, referenceCheckpoints);
+        EXPECT_EQ(report.checkpointWrites,
+                  report.checkpoints - data.checkpointsWritten);
         std::filesystem::remove_all(dir);
       }
     }

@@ -180,7 +180,7 @@ TEST(OnlinePolicy, TreeCountersMatchesUnderlyingStrategy) {
                               options);
   for (const Request& request : requests) strategy.serve(request);
 
-  const auto policy = buildPolicy(treeCountersSpec(options), rooted,
+  const auto policy = buildPolicy("tree-counters:threshold=3", rooted,
                                   numObjects, tree.processors().front());
   EXPECT_EQ(policy->name(), "tree-counters");
   const LoadMap loads =
@@ -326,11 +326,6 @@ TEST(OnlinePolicy, CompetitiveRunsAcceptPolicySpecs) {
     serve::VectorStream stream(requests);
     return server.serve(stream);
   };
-
-  // OnlineOptions render as exactly the equivalent tree-counters spec.
-  OnlineOptions options;
-  options.replicationThreshold = 3;
-  EXPECT_EQ(treeCountersSpec(options), "tree-counters:threshold=3,contract=1");
 
   // Every registered policy runs through the same engine; the frozen
   // foils bracket the counter scheme's traffic profile.

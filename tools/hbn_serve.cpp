@@ -66,8 +66,6 @@ struct ServeCli {
   bool pipeline = true;            ///< pipelined (vs barrier) engine
   std::size_t latencySample = 4096;  ///< latency reservoir capacity
   double reads = 0.9;              ///< stream read fraction
-  hbn::core::Count threshold = 2;  ///< online replication threshold D
-  bool thresholdSet = false;
   std::string policy;           ///< policy spec; empty = tree-counters
   bool listPolicies = false;
   std::string jsonOut;          ///< empty = no JSON report
@@ -138,10 +136,6 @@ ServeCli parseServeCli(int argc, char** argv) {
           hbn::engine::parseUintFlag(arg, value(arg), kMaxInt));
     } else if (arg == "--reads") {
       cli.reads = parseDoubleFlag(arg, value(arg), 0.0, 1.0);
-    } else if (arg == "--threshold") {
-      cli.threshold = static_cast<hbn::core::Count>(
-          hbn::engine::parseUintFlag(arg, value(arg)));
-      cli.thresholdSet = true;
     } else if (arg == "--policy") {
       cli.policy = value(arg);
     } else if (arg == "--list-policies") {
@@ -234,9 +228,6 @@ void printUsage(std::ostream& os) {
         "                    nested strategy specs compose, e.g.\n"
         "                    static:placement=extended-nibble\n"
         "  --list-policies   list registered policies and exit\n"
-        "  --threshold D     tree-counters replication threshold\n"
-        "                    (default 2; shorthand for\n"
-        "                    --policy tree-counters:threshold=D)\n"
         "  --drift F         re-place when congestion growth > F x lower-\n"
         "                    bound growth since the last re-placement;\n"
         "                    0 disables (default 3.0)\n"
@@ -329,11 +320,6 @@ int main(int argc, char** argv) {
           "hbn_serve serves through --policy; --strategy is not accepted "
           "(nest it: --policy static:placement=SPEC)");
     }
-    if (!cli.policy.empty() && cli.thresholdSet) {
-      throw std::invalid_argument(
-          "--threshold is shorthand for tree-counters; pass "
-          "--policy tree-counters:threshold=D instead of combining them");
-    }
     if (cli.workers > 0 &&
         (!cli.checkpointDir.empty() || !cli.restoreDir.empty() ||
          !cli.inject.empty())) {
@@ -343,7 +329,7 @@ int main(int argc, char** argv) {
           "features (see docs/sharding.md)");
     }
     // When resuming, load the snapshot before anything else: it decides
-    // the policy (absent --policy/--threshold), the epoch size and drift
+    // the policy (absent --policy), the epoch size and drift
     // factor (absent --epoch/--drift) and the object count for generated
     // streams, so a bare `--restore D` resumes faithfully.
     std::optional<serve::CheckpointData> restored;
@@ -358,13 +344,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    dynamic::OnlineOptions defaults;
-    defaults.replicationThreshold = cli.threshold;
-    const std::string policySpec =
-        !cli.policy.empty() ? cli.policy
-        : (restored && !cli.thresholdSet)
-            ? restored->policySpec
-            : dynamic::treeCountersSpec(defaults);
+    const std::string policySpec = !cli.policy.empty() ? cli.policy
+                                   : restored ? restored->policySpec
+                                              : "tree-counters";
 
     const net::Tree tree =
         cli.shared.positional.empty()
@@ -523,10 +505,11 @@ int main(int argc, char** argv) {
                 << util::formatDouble(report.workerImbalance, 2) << "\n";
     }
     std::cout << report.checkpoints << " checkpoints";
-    if (report.checkpointBytes > 0) {  // this process wrote one
-      std::cout << " (" << util::formatDouble(report.checkpointMs, 1)
-                << " ms writing, last " << report.checkpointBytes
-                << " bytes)";
+    if (report.checkpointWrites > 0) {
+      std::cout << " (" << report.checkpointWrites
+                << " written by this process in "
+                << util::formatDouble(report.checkpointMs, 1)
+                << " ms, last " << report.checkpointBytes << " bytes)";
     }
     std::cout << ", " << report.degradedEpochs << " degraded epochs, "
               << report.handoffRetries << " handoff retries\n";
@@ -553,86 +536,28 @@ int main(int argc, char** argv) {
     }
 
     if (!cli.jsonOut.empty()) {
-      // Ratio fields may be +inf (positive congestion against a zero
-      // lower bound); JsonRecords emits non-finite doubles as null and
-      // parses null back to NaN, so emit→parse→emit of such records is
-      // a fixed point (pinned by tests/serve_test.cpp).
+      // Only the record kind and run-context keys are written here; the
+      // report's own keys come from the serve/shard record writers.
       util::JsonRecords records;
       for (const serve::EpochRecord& r : log) {
         records.beginRecord();
         records.field("kind", "epoch");
-        records.field("epoch", r.index);
-        records.field("requests", r.requests);
-        records.field("wall_ms", r.wallMs);
-        records.field("congestion", r.congestion);
-        records.field("lower_bound", r.lowerBound);
-        records.field("ratio", r.ratio);
-        records.field("latency_ms_p50", r.latencyMsP50);
-        records.field("latency_ms_p99", r.latencyMsP99);
-        records.field("latency_ms_p999", r.latencyMsP999);
-        records.field("worker_imbalance", r.workerImbalance);
-        records.field("replaced", r.replaced);
-        records.field("degraded", r.degraded);
-        records.field("checkpointed", r.checkpointed);
+        serve::writeEpochFields(records, r);
       }
       for (const shard::ShardBreakdown& b : report.shards) {
         records.beginRecord();
         records.field("kind", "shard");
-        records.field("shard", b.shard);
-        records.field("requests", b.requests);
-        records.field("busy_ms", b.busyMs);
-        records.field("replications", b.replications);
-        records.field("invalidations", b.invalidations);
-        records.field("bytes_to_worker", b.bytesToWorker);
-        records.field("bytes_from_worker", b.bytesFromWorker);
-        for (const auto& [key, value] : b.policyMetrics) {
-          records.field(key, value);
-        }
+        shard::writeShardFields(records, b);
       }
       records.beginRecord();
       records.field("kind", "summary");
-      records.field("policy", report.policy);
-      records.field("pipeline", report.pipeline);
       records.field("latency_sample", cli.latencySample);
-      records.field("requests", report.totalRequests);
-      records.field("epochs", report.epochs);
-      records.field("wall_ms", report.wallMs);
-      records.field("requests_per_sec", report.requestsPerSec);
-      records.field("epoch_ms_p50", report.epochMsP50);
-      records.field("epoch_ms_p99", report.epochMsP99);
-      records.field("epoch_ms_p999", report.epochMsP999);
-      records.field("latency_ms_p50", report.latencyMsP50);
-      records.field("latency_ms_p99", report.latencyMsP99);
-      records.field("latency_ms_p999", report.latencyMsP999);
-      records.field("latency_samples", report.latencySamples);
-      records.field("congestion", report.congestion);
-      records.field("lower_bound", report.lowerBound);
-      records.field("ratio", report.ratio);
-      records.field("replacements", report.replacements);
-      records.field("replications", report.replications);
-      records.field("invalidations", report.invalidations);
-      records.field("worker_imbalance", report.workerImbalance);
-      records.field("degraded_epochs", report.degradedEpochs);
-      records.field("handoff_retries", report.handoffRetries);
-      records.field("checkpoints", report.checkpoints);
-      records.field("checkpoint_ms", report.checkpointMs);
-      records.field("checkpoint_bytes", report.checkpointBytes);
       records.field("seed", seed);
       records.field("threads", options.threads);
       if (sharded) {
-        records.field("transport", report.transport);
-        records.field("partition", report.partition);
-        records.field("workers", report.workers);
-        records.field("critical_path_ms", report.criticalPathMs);
-        records.field("requests_per_sec_critical",
-                      report.requestsPerSecCritical);
-        records.field("cross_shard_bytes", report.crossShardBytes);
-        records.field("bytes_per_request", report.bytesPerRequest);
-      }
-      // The policy's own diagnostics, keys already "policy."-prefixed
-      // (per shard in the shard records when sharded).
-      for (const auto& [key, value] : report.policyMetrics) {
-        records.field(key, value);
+        shard::writeReportFields(records, report);
+      } else {
+        serve::writeReportFields(records, report);
       }
       records.writeFile(cli.jsonOut);
       std::cout << "wrote " << cli.jsonOut << "\n";
