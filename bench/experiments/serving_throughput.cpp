@@ -73,9 +73,10 @@ constexpr double kLatencyWinFloorSmoke = 1.05;
 // a real regression.
 constexpr double kThroughputParityFloorFull = 0.85;
 constexpr double kThroughputParityFloorSmoke = 0.80;
-// The parity ratio is the median over this many interleaved
-// barrier/pipelined pairs: one pair's ratio moves with whatever else the
-// host runs during either run, the median of interleaved pairs does not.
+// The parity ratio and both latency wins are medians over this many
+// interleaved barrier/pipelined pairs: one pair's ratio moves with
+// whatever else the host runs during either run, the median of
+// interleaved pairs does not.
 // Smoke mode runs as many pairs as full mode: a median of 3 pairs fell
 // below the smoke floor in 1 of 30 standalone runs on a 4-core host.
 constexpr int kParityPairs = 5;
@@ -196,8 +197,8 @@ class ServingThroughputExperiment final : public engine::Experiment {
       *digest = serve::stateDigest(server, report);
       return report;
     };
-    // K interleaved barrier/pipelined pairs: the first pair's rows and
-    // latency wins are reported, the throughput parity is the median
+    // K interleaved barrier/pipelined pairs: the first pair's rows are
+    // reported, the throughput parity and both latency wins are medians
     // of the pairs' ratios, and every pair must be bit-identical.
     std::string barrierDigest;
     std::string pipelinedDigest;
@@ -207,15 +208,22 @@ class ServingThroughputExperiment final : public engine::Experiment {
             kLatencyObjects, 1);
     emitRow("diurnal-handoff", "pipelined", pipelined, kLatencyEpoch,
             kLatencyObjects, 1);
-    const auto parityOf = [](const serve::ServeReport& barrierRun,
+    const auto ratioOf = [](double numerator, double denominator) {
+      return denominator > 0.0 ? numerator / denominator : 0.0;
+    };
+    util::Accumulator parityRatios;
+    util::Accumulator epochP99Wins;
+    util::Accumulator requestP99Wins;
+    const auto addPair = [&](const serve::ServeReport& barrierRun,
                              const serve::ServeReport& pipelinedRun) {
-      return barrierRun.requestsPerSec > 0.0
-                 ? pipelinedRun.requestsPerSec / barrierRun.requestsPerSec
-                 : 0.0;
+      parityRatios.add(
+          ratioOf(pipelinedRun.requestsPerSec, barrierRun.requestsPerSec));
+      epochP99Wins.add(ratioOf(barrierRun.epochMsP99, pipelinedRun.epochMsP99));
+      requestP99Wins.add(
+          ratioOf(barrierRun.latencyMsP99, pipelinedRun.latencyMsP99));
     };
     bool bitIdentical = barrierDigest == pipelinedDigest;
-    util::Accumulator parityRatios;
-    parityRatios.add(parityOf(barrier, pipelined));
+    addPair(barrier, pipelined);
     for (int pair = 1; pair < kParityPairs; ++pair) {
       std::string barrierPairDigest;
       std::string pipelinedPairDigest;
@@ -225,27 +233,24 @@ class ServingThroughputExperiment final : public engine::Experiment {
           latencyRun(true, &pipelinedPairDigest);
       bitIdentical = bitIdentical && barrierPairDigest == barrierDigest &&
                      pipelinedPairDigest == barrierDigest;
-      parityRatios.add(parityOf(barrierPair, pipelinedPair));
+      addPair(barrierPair, pipelinedPair);
     }
     const double throughputParity = parityRatios.median();
-    const double epochP99Win =
-        pipelined.epochMsP99 > 0.0 ? barrier.epochMsP99 / pipelined.epochMsP99
-                                   : 0.0;
-    const double requestP99Win =
-        pipelined.latencyMsP99 > 0.0
-            ? barrier.latencyMsP99 / pipelined.latencyMsP99
-            : 0.0;
+    const double epochP99Win = epochP99Wins.median();
+    const double requestP99Win = requestP99Wins.median();
     ctx.os() << "\ndrift-handoff stream (" << barrier.replacements
              << " re-placements over " << barrier.epochs
              << " epochs):\n  epoch p99   "
              << util::formatDouble(barrier.epochMsP99, 2) << " ms barrier vs "
              << util::formatDouble(pipelined.epochMsP99, 2)
-             << " ms pipelined (" << util::formatDouble(epochP99Win, 2)
+             << " ms pipelined (median win over " << kParityPairs
+             << " pairs " << util::formatDouble(epochP99Win, 2)
              << "x)\n  request p99 "
              << util::formatDouble(barrier.latencyMsP99, 2)
              << " ms barrier vs "
              << util::formatDouble(pipelined.latencyMsP99, 2)
-             << " ms pipelined (" << util::formatDouble(requestP99Win, 2)
+             << " ms pipelined (median win over " << kParityPairs
+             << " pairs " << util::formatDouble(requestP99Win, 2)
              << "x)\n  throughput  "
              << util::formatDouble(barrier.requestsPerSec / 1e6, 2)
              << " Mreq/s barrier vs "

@@ -137,14 +137,14 @@ ServeReport EpochServer::serve(RequestStream& stream) {
 
   for (;;) {
     // The watchdogged acquire: past stallTimeoutMs the serve thread
-    // assembles the epoch inline itself (degraded = true) instead of
-    // hanging on a stalled ingest thread.
-    const AcquireResult acquired = ingest.acquireFor(options_.stallTimeoutMs);
-    EpochBatch* const batch = acquired.batch;
+    // assembles an epoch no filler has begun itself (batch->degraded)
+    // instead of hanging on a stalled ingest thread.
+    EpochBatch* const batch = ingest.acquire(options_.stallTimeoutMs);
     if (batch == nullptr) break;
     util::Timer epochTimer;
     const std::uint64_t epochIndex = logBase_ + log_.size();
-    if (acquired.degraded) ++degradedEpochs_;
+    checkEpochOrder(*batch, epochIndex);
+    if (batch->degraded) ++degradedEpochs_;
 
     // Stages 2 and 3: serve, merge, aggregate, retire.
     serveBatch(*batch, epochIndex);
@@ -154,7 +154,7 @@ ServeReport EpochServer::serve(RequestStream& stream) {
     record.index = epochIndex;
     record.requests = batch->n;
     record.workerImbalance = stepImbalance_;
-    record.degraded = acquired.degraded;
+    record.degraded = batch->degraded;
     record.lowerBound = lowerBound_.congestion();
     record.congestion = loads_.congestion(tree);
     // Drift is measured since the last re-placement (see

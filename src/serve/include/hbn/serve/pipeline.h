@@ -1,31 +1,36 @@
-// Stage 1 of the pipelined epoch server: double-buffered ingest.
+// Stage 1 of the pipelined epoch server: the epoch-ordered ingest ring.
 //
 // EpochIngest pulls fixed-size epochs from a RequestStream, validates
 // them, and pre-buckets them by object id (the stable CSR layout
-// serveShard consumes) into one of two EpochBatch slots. In threaded
-// mode a dedicated ingest thread keeps the next slot ready while the
-// serve thread works on the current one, so pulling + bucketing
-// disappears from the serving critical path; in inline mode the same
-// fill runs on the caller's thread, which is exactly the barrier
-// engine's behaviour. Both modes assemble identical epochs from the
-// same stream (same chunked fill loop), which is what lets
-// pipeline-on/off runs be compared request for request.
+// serveShard consumes) into a ring of EpochBatch slots addressed by
+// epoch number (slot = epoch % slotCount). In threaded mode a dedicated
+// ingest thread keeps the next of two slots ready while the serve thread
+// works on the current one, so pulling + bucketing disappears from the
+// serving critical path; in inline mode (one slot) the consumer fills
+// each epoch itself, which is exactly the barrier engine's behaviour.
 //
-// Graceful degradation: when the ingest thread stalls (injected via
-// util::FaultInjector, or a genuinely slow stream), acquireFor() lets
-// the serve thread wait only a bounded time and then fill the epoch
-// inline itself — falling back to the barrier engine for that one
-// epoch instead of hanging the pipeline. Every fill (ingest-thread,
-// inline, or degraded) runs under one fill mutex and claims the next
-// epoch number inside it, so the stream is consumed by exactly one
-// filler at a time and epochs keep their order and contents no matter
-// which thread assembled them — degraded runs stay bit-identical.
+// Every fill, whoever runs it, goes through one function: under the
+// lock it claims the next epoch number and marks the stream busy, it
+// fills outside the lock, and it publishes the epoch (or end of stream,
+// or the failure) under the lock that clears the busy flag. Epochs are
+// therefore claimed, filled and handed out in one order, one filler at
+// a time, from the same chunked fill loop — which is what lets
+// pipeline-on/off and degraded runs be compared request for request.
+//
+// Graceful degradation: acquire(stallTimeoutMs) waits only that long
+// for the ingest thread. If by then no filler has begun the epoch due
+// next (the thread is stalled before its claim — injected via
+// util::FaultInjector — or not yet scheduled), the consumer fills that
+// epoch itself and marks the batch degraded: the barrier engine's
+// behaviour for that one epoch. Its slot is provably free, so no spare
+// batch is needed. A fill already in progress is waited for — a
+// RequestStream::fill() that is itself slow is not rescued.
 //
 // Failures while filling (stream errors, out-of-range requests) are
 // wrapped into serve::Error with Stage::Ingest and the epoch being
-// assembled, captured on whichever thread hit them, and rethrown from
-// acquire()/acquireFor() — the caller sees the same structured error
-// in every mode.
+// assembled, and rethrown from acquire() once every earlier epoch has
+// been handed out — the caller sees the same structured error in every
+// mode.
 //
 // Arrival stamps: each fill chunk records one steady-clock stamp, the
 // arrival time of every request in that chunk. The serve loop turns
@@ -65,6 +70,9 @@ struct EpochBatch {
   /// Absolute epoch number this batch holds (baseEpoch + fills so far)
   /// — fault specs and ingest errors name epochs in these terms.
   std::uint64_t epoch = 0;
+  /// True when the consumer filled this epoch itself because the
+  /// threaded ingest missed the stall watchdog.
+  bool degraded = false;
 
   /// Bytes of per-request buffering this batch holds.
   [[nodiscard]] std::uint64_t bufferBytes() const noexcept;
@@ -77,18 +85,16 @@ struct EpochBatch {
   void bucket(int numObjects, int numNodes);
 };
 
-/// What acquireFor() handed out: the batch (nullptr at end of stream)
-/// and whether the serve thread had to assemble it itself because the
-/// ingest thread was stalled past the watchdog timeout.
-struct AcquireResult {
-  EpochBatch* batch = nullptr;
-  bool degraded = false;
-};
+/// Throws std::logic_error naming both numbers unless `batch` holds
+/// epoch `expected`: each consumer's one comparison per epoch that turns
+/// an out-of-order hand-out into a loud failure instead of a silently
+/// different digest.
+void checkEpochOrder(const EpochBatch& batch, std::uint64_t expected);
 
-/// The double-buffered ingest stage. Single consumer (the serve
-/// thread): acquire() → serve the batch → release(). Errors raised
-/// while filling are captured on the ingest thread and rethrown from
-/// acquire(), so the caller sees the same exceptions in both modes.
+/// The epoch-ordered ingest ring. Single consumer (the serve thread):
+/// acquire() → serve the batch → release(). Errors raised while filling
+/// are rethrown from acquire(), so the caller sees the same exceptions
+/// in both modes.
 class EpochIngest {
  public:
   /// `stream`, `tree` and `faults` must outlive the ingest. `threaded`
@@ -105,18 +111,12 @@ class EpochIngest {
   EpochIngest(const EpochIngest&) = delete;
   EpochIngest& operator=(const EpochIngest&) = delete;
 
-  /// Next ready epoch, blocking on the ingest thread if it is still
-  /// filling; nullptr once the stream is exhausted. The batch stays
-  /// owned by the ingest; hand it back with release() before the next
-  /// acquire().
-  [[nodiscard]] EpochBatch* acquire();
-
-  /// acquire() with a stall watchdog: waits up to `timeoutMs` for the
-  /// ingest thread, then assembles the epoch inline on the calling
-  /// thread (degraded = true) — the barrier engine's behaviour for that
-  /// one epoch. `timeoutMs` <= 0 (or inline mode) means wait forever,
-  /// i.e. plain acquire().
-  [[nodiscard]] AcquireResult acquireFor(double timeoutMs);
+  /// Next epoch in order, blocking while it is being filled; nullptr
+  /// once the stream is exhausted. Threaded mode with `stallTimeoutMs`
+  /// > 0: past that wait, if no filler has begun the epoch, the calling
+  /// thread fills it itself (batch->degraded). The batch stays owned by
+  /// the ingest; hand it back with release() before the next acquire().
+  [[nodiscard]] EpochBatch* acquire(double stallTimeoutMs = 0.0);
 
   /// Returns a served batch's slot to the ingest thread for refilling.
   void release(EpochBatch* batch);
@@ -127,24 +127,12 @@ class EpochIngest {
   [[nodiscard]] std::uint64_t bufferBytes() const noexcept;
 
  private:
-  /// Sizes `batch`'s buffers for one epoch.
-  void allocate(EpochBatch& batch) const;
-  /// Hands out the ready slot; otherwise rethrows a captured fill error
-  /// or returns nullptr (end of stream). Caller holds mutex_.
-  [[nodiscard]] EpochBatch* takeReady();
-  /// Chunked fill + validate + bucket of one epoch into `batch`.
-  void fillBatch(EpochBatch& batch);
-  /// Claims the next epoch number and fills `batch` while holding
-  /// fillMutex_ (the single-filler token); wraps failures into
-  /// serve::Error{Ingest}. Returns false at end of stream.
-  bool fillNextEpoch(EpochBatch& batch);
+  /// The one fill path: claims epoch nextClaim_ (caller holds `lock`
+  /// and has checked that no fill is busy and its slot is free), runs
+  /// the chunked fill + validate + bucket outside the lock, then
+  /// publishes the epoch, end of stream or the wrapped failure.
+  void fill(std::unique_lock<std::mutex>& lock, bool degraded);
   void ingestLoop();
-  /// Signals the ingest thread to stop and joins it; safe to call more
-  /// than once. The destructor's RAII teardown — also invoked when the
-  /// constructor fails after launching the thread.
-  void shutdown() noexcept;
-
-  enum class SlotState { Free, Ready };
 
   RequestStream* stream_;
   const net::Tree* tree_;
@@ -152,28 +140,21 @@ class EpochIngest {
   int numObjects_;
   std::size_t epochSize_;
   bool threaded_;
+  std::uint64_t slotCount_;  ///< 2 threaded, 1 inline
 
   std::array<EpochBatch, 2> slots_;
-  std::array<SlotState, 2> state_{SlotState::Free, SlotState::Free};
-  /// Spare batch the serve thread fills inline when the watchdog fires;
-  /// sized lazily on first degradation so healthy runs never pay for it.
-  EpochBatch degraded_;
-  std::size_t fillIndex_ = 0;   ///< next slot the ingest thread fills
-  std::size_t serveIndex_ = 0;  ///< next slot acquire() hands out
-  /// Absolute number of the next epoch any filler will assemble;
-  /// guarded by mutex_, advanced inside fillNextEpoch.
-  std::uint64_t nextEpoch_ = 0;
-  bool exhausted_ = false;
+  // Epoch counters, guarded by mutex_: epochs in [nextServe_,
+  // nextClaim_) are Ready, nextClaim_ is being filled while busy_, and
+  // slots of epochs < nextFree_ have been released.
+  std::uint64_t nextClaim_;
+  std::uint64_t nextServe_;
+  std::uint64_t nextFree_;
+  bool busy_ = false;
+  bool done_ = false;  ///< the stream ended or a fill failed (error_)
   bool stopping_ = false;
   std::exception_ptr error_;
   std::mutex mutex_;
-  /// Single-filler token: held across every stream fill (ingest thread
-  /// and degraded inline fills alike), so the stream sees one orderly
-  /// consumer. Never acquired while holding mutex_.
-  std::mutex fillMutex_;
-  std::condition_variable readyCv_;  ///< signalled when a slot turns Ready
-  std::condition_variable freeCv_;   ///< signalled when a slot turns Free,
-                                     ///< an epoch is claimed, or stopping
+  std::condition_variable cv_;  ///< signalled on every change above
   std::thread worker_;
 };
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
-#include <utility>
+#include <string>
 
 #include "hbn/dynamic/harness.h"
 #include "hbn/serve/error.h"
@@ -35,6 +35,14 @@ void EpochBatch::bucket(int numObjects, int numNodes) {
       std::span<RequestEvent>(bucketed.data(), n), numNodes);
 }
 
+void checkEpochOrder(const EpochBatch& batch, std::uint64_t expected) {
+  if (batch.epoch != expected) {
+    throw std::logic_error("ingest handed out epoch " +
+                           std::to_string(batch.epoch) + " where epoch " +
+                           std::to_string(expected) + " was due");
+  }
+}
+
 EpochIngest::EpochIngest(RequestStream& stream, const net::Tree& tree,
                          int numObjects, std::size_t epochSize, bool threaded,
                          util::FaultInjector* faults,
@@ -45,212 +53,145 @@ EpochIngest::EpochIngest(RequestStream& stream, const net::Tree& tree,
       numObjects_(numObjects),
       epochSize_(epochSize),
       threaded_(threaded),
-      nextEpoch_(baseEpoch) {
+      slotCount_(threaded ? 2 : 1),
+      nextClaim_(baseEpoch),
+      nextServe_(baseEpoch),
+      nextFree_(baseEpoch) {
   if (epochSize_ < 1) {
     throw std::invalid_argument("EpochIngest: epochSize >= 1");
   }
-  allocate(slots_[0]);
-  if (threaded_) allocate(slots_[1]);
+  for (std::uint64_t s = 0; s < slotCount_; ++s) {
+    EpochBatch& batch = slots_[s];
+    batch.raw.resize(epochSize_);
+    batch.bucketed.resize(epochSize_);
+    batch.offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
+    batch.arrivals.reserve(kIngestChunks);
+  }
   // Launch last: everything the thread touches is initialised, and the
-  // RAII shutdown() below joins it on every exit path after this point.
-  if (threaded_) {
-    worker_ = std::thread([this] { ingestLoop(); });
-  }
+  // destructor joins it on every exit path after this point.
+  if (threaded_) worker_ = std::thread([this] { ingestLoop(); });
 }
 
-EpochIngest::~EpochIngest() { shutdown(); }
-
-void EpochIngest::allocate(EpochBatch& batch) const {
-  batch.raw.resize(epochSize_);
-  batch.bucketed.resize(epochSize_);
-  batch.offsets.resize(static_cast<std::size_t>(numObjects_) + 1);
-  batch.arrivals.reserve(kIngestChunks);
-}
-
-EpochBatch* EpochIngest::takeReady() {
-  if (state_[serveIndex_] == SlotState::Ready) {
-    // Drain ready slots before reporting end-of-stream or an error: the
-    // epochs before the failure point are valid either way.
-    EpochBatch* batch = &slots_[serveIndex_];
-    serveIndex_ = 1 - serveIndex_;
-    return batch;
-  }
-  if (error_) std::rethrow_exception(error_);
-  return nullptr;  // exhausted
-}
-
-void EpochIngest::shutdown() noexcept {
+EpochIngest::~EpochIngest() {
   if (!worker_.joinable()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  freeCv_.notify_all();
+  cv_.notify_all();
   worker_.join();
 }
 
-void EpochIngest::fillBatch(EpochBatch& batch) {
-  batch.n = 0;
-  batch.arrivals.clear();
-  const std::size_t chunk = std::max<std::size_t>(
-      1, (epochSize_ + kIngestChunks - 1) / kIngestChunks);
-  while (batch.n < epochSize_) {
-    const std::size_t want = std::min(chunk, epochSize_ - batch.n);
-    const std::size_t got = stream_->fill(
-        std::span<RequestEvent>(batch.raw.data() + batch.n, want));
-    if (got == 0) break;
-    batch.arrivals.emplace_back(EpochBatch::Clock::now(), got);
-    batch.n += got;
-  }
-  if (batch.n == 0) return;
-  batch.bucket(numObjects_, tree_->nodeCount());
-}
+void EpochIngest::fill(std::unique_lock<std::mutex>& lock, bool degraded) {
+  const std::uint64_t epoch = nextClaim_;
+  busy_ = true;
+  EpochBatch& batch = slots_[epoch % slotCount_];
+  lock.unlock();
 
-bool EpochIngest::fillNextEpoch(EpochBatch& batch) {
-  // Caller holds fillMutex_ (the single-filler token): only one thread
-  // touches the stream at a time, and the epoch number claimed here is
-  // therefore strictly sequential no matter which thread fills.
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    epoch = nextEpoch_;
-  }
-  batch.epoch = epoch;
+  // Outside the lock: the consumer serves the other slot meanwhile, and
+  // busy_ keeps every other filler off the stream.
+  std::exception_ptr error;
   try {
-    fillBatch(batch);
+    batch.epoch = epoch;
+    batch.degraded = degraded;
+    batch.n = 0;
+    batch.arrivals.clear();
+    const std::size_t chunk = std::max<std::size_t>(
+        1, (epochSize_ + kIngestChunks - 1) / kIngestChunks);
+    while (batch.n < epochSize_) {
+      const std::size_t want = std::min(chunk, epochSize_ - batch.n);
+      const std::size_t got = stream_->fill(
+          std::span<RequestEvent>(batch.raw.data() + batch.n, want));
+      if (got == 0) break;
+      batch.arrivals.emplace_back(EpochBatch::Clock::now(), got);
+      batch.n += got;
+    }
+    if (batch.n > 0) batch.bucket(numObjects_, tree_->nodeCount());
   } catch (const Error&) {
-    throw;
+    error = std::current_exception();
   } catch (const std::exception& e) {
-    throw Error(Stage::Ingest, epoch, e.what());
+    error = std::make_exception_ptr(Error(Stage::Ingest, epoch, e.what()));
   } catch (...) {
-    throw Error(Stage::Ingest, epoch, "unknown ingest failure");
+    error = std::make_exception_ptr(
+        Error(Stage::Ingest, epoch, "unknown ingest failure"));
   }
-  if (batch.n == 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++nextEpoch_;
+
+  lock.lock();
+  busy_ = false;
+  if (error) {
+    error_ = error;
+    done_ = true;
+  } else if (batch.n == 0) {
+    done_ = true;
+  } else {
+    ++nextClaim_;  // publishes the epoch: it is Ready
   }
-  // Wakes an ingest thread stalled on this epoch: its epoch was taken
-  // over, it should move on to the next one.
-  freeCv_.notify_all();
-  return true;
+  cv_.notify_all();
 }
 
 void EpochIngest::ingestLoop() {
-  for (;;) {
-    std::size_t index;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      freeCv_.wait(lock, [this] {
-        return stopping_ || state_[fillIndex_] == SlotState::Free;
-      });
-      if (stopping_) return;
-      index = fillIndex_;
-      // Injected ingest stall: sleep BEFORE taking the fill token, so a
-      // watchdogged consumer (acquireFor) can assemble the epoch itself
-      // meanwhile. The sleep is interruptible — it ends early when the
-      // epoch is taken over, the stream ends, or we are stopping.
-      if (faults_ != nullptr) {
-        const std::uint64_t epoch = nextEpoch_;
-        const double stall = faults_->stallMs(epoch);
-        if (stall > 0.0) {
-          freeCv_.wait_for(
-              lock, std::chrono::duration<double, std::milli>(stall),
-              [this, epoch] {
-                return stopping_ || exhausted_ || nextEpoch_ != epoch;
-              });
-          if (stopping_) return;
-          if (exhausted_ || nextEpoch_ != epoch) continue;
-        }
-      }
-    }
-    // Fill outside mutex_: this is the whole point of the stage — the
-    // consumer serves the other slot meanwhile.
-    bool end = false;
-    try {
-      std::lock_guard<std::mutex> fillLock(fillMutex_);
-      end = !fillNextEpoch(slots_[index]);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      error_ = std::current_exception();
-      readyCv_.notify_all();
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (end) {
-        exhausted_ = true;
-        readyCv_.notify_all();
-        return;
-      }
-      state_[index] = SlotState::Ready;
-      fillIndex_ = 1 - fillIndex_;
-    }
-    readyCv_.notify_all();
-  }
-}
-
-EpochBatch* EpochIngest::acquire() {
-  if (!threaded_) {
-    EpochBatch& batch = slots_[0];
-    std::lock_guard<std::mutex> fillLock(fillMutex_);
-    return fillNextEpoch(batch) ? &batch : nullptr;
-  }
   std::unique_lock<std::mutex> lock(mutex_);
-  readyCv_.wait(lock, [this] {
-    return error_ || exhausted_ || state_[serveIndex_] == SlotState::Ready;
-  });
-  return takeReady();
+  for (;;) {
+    cv_.wait(lock, [this] {
+      return stopping_ || done_ ||
+             (!busy_ && nextClaim_ - nextFree_ < slotCount_);
+    });
+    if (stopping_ || done_) return;
+    // Injected ingest stall: sleep BEFORE claiming, so a watchdogged
+    // consumer can take the epoch over meanwhile. The sleep ends early
+    // when the epoch is taken over or the ingest stops.
+    if (faults_ != nullptr) {
+      const std::uint64_t epoch = nextClaim_;
+      const double stall = faults_->stallMs(epoch);
+      if (stall > 0.0) {
+        cv_.wait_for(lock, std::chrono::duration<double, std::milli>(stall),
+                     [this, epoch] {
+                       return stopping_ || done_ || busy_ ||
+                              nextClaim_ != epoch;
+                     });
+        if (stopping_ || done_ || busy_ || nextClaim_ != epoch) continue;
+      }
+    }
+    fill(lock, false);
+  }
 }
 
-AcquireResult EpochIngest::acquireFor(double timeoutMs) {
-  if (!threaded_ || timeoutMs <= 0.0) return {acquire(), false};
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    const bool signalled = readyCv_.wait_for(
-        lock, std::chrono::duration<double, std::milli>(timeoutMs), [this] {
-          return error_ || exhausted_ ||
-                 state_[serveIndex_] == SlotState::Ready;
-        });
-    if (signalled) return {takeReady(), false};
+EpochBatch* EpochIngest::acquire(double stallTimeoutMs) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto ready = [this] { return done_ || nextServe_ < nextClaim_; };
+  if (!threaded_) {
+    if (!done_) fill(lock, false);
+  } else if (stallTimeoutMs > 0.0 &&
+             !cv_.wait_for(lock,
+                           std::chrono::duration<double, std::milli>(
+                               stallTimeoutMs),
+                           ready) &&
+             !busy_) {
+    // Watchdog: no filler has begun epoch nextServe_ (== nextClaim_),
+    // and its slot is free — the consumer holds at most the previous
+    // epoch, which lives in the other slot. Fill it here.
+    fill(lock, true);
   }
-  // Watchdog fired: contend for the fill token. If the ingest thread
-  // finishes while we wait for it, serve its slot normally — only a
-  // thread that wins the token against a still-stalled ingest assembles
-  // the epoch inline (the barrier engine's behaviour for this epoch).
-  std::lock_guard<std::mutex> fillLock(fillMutex_);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (error_ || exhausted_ || state_[serveIndex_] == SlotState::Ready) {
-      return {takeReady(), false};
-    }
-  }
-  if (degraded_.offsets.empty()) allocate(degraded_);
-  if (!fillNextEpoch(degraded_)) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      exhausted_ = true;
-    }
-    freeCv_.notify_all();  // releases an ingest thread stalled on this epoch
-    return {nullptr, false};
-  }
-  return {&degraded_, true};
+  cv_.wait(lock, ready);
+  // Drain ready epochs before reporting end of stream or an error: the
+  // epochs before the failure point are valid either way.
+  if (nextServe_ < nextClaim_) return &slots_[nextServe_++ % slotCount_];
+  if (error_) std::rethrow_exception(error_);
+  return nullptr;
 }
 
 void EpochIngest::release(EpochBatch* batch) {
-  if (!threaded_ || batch == nullptr || batch == &degraded_) return;
-  const auto index = static_cast<std::size_t>(batch - slots_.data());
+  if (batch == nullptr) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    state_[index] = SlotState::Free;
+    nextFree_ = batch->epoch + 1;
   }
-  freeCv_.notify_all();
+  cv_.notify_all();
 }
 
 std::uint64_t EpochIngest::bufferBytes() const noexcept {
-  const std::size_t slotCount = threaded_ ? 2 : 1;
-  std::uint64_t total = degraded_.bufferBytes();
-  for (std::size_t s = 0; s < slotCount; ++s) {
+  std::uint64_t total = 0;
+  for (std::uint64_t s = 0; s < slotCount_; ++s) {
     total += slots_[s].bufferBytes();
   }
   return total;

@@ -164,14 +164,15 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
     double lastLowerBound = 0.0;
 
     for (;;) {
-      const serve::AcquireResult acquired =
-          ingest.acquireFor(options_.serve.stallTimeoutMs);
-      serve::EpochBatch* const batch = acquired.batch;
+      serve::EpochBatch* const batch =
+          ingest.acquire(options_.serve.stallTimeoutMs);
       if (batch == nullptr) break;
       util::Timer epochTimer;
       const std::uint64_t epochIndex = report.epochs;
+      serve::checkEpochOrder(*batch, epochIndex);
       const std::size_t n = batch->n;
-      if (acquired.degraded) ++report.degradedEpochs;
+      const bool degraded = batch->degraded;
+      if (degraded) ++report.degradedEpochs;
 
       // Broadcast: encode once, write identical bytes to every link.
       const std::string frame = FramedTransport::encodeFrame(
@@ -230,7 +231,7 @@ ShardedReport ShardCoordinator::serve(serve::RequestStream& stream) {
       serve::EpochRecord record;
       record.index = epochIndex;
       record.requests = n;
-      record.degraded = acquired.degraded;
+      record.degraded = degraded;
       record.lowerBound = lowerBound;
       record.congestion = loads_.congestion(tree);
 

@@ -251,7 +251,8 @@ void printUsage(std::ostream& os) {
         "                    shard-throw@epochN[:shardM] |\n"
         "                    handoff-fail@epochN[:times=K]\n"
         "  --stall-timeout MS  ingest watchdog: past MS the serve thread\n"
-        "                    assembles the epoch inline (degraded mode);\n"
+        "                    fills an epoch the ingest thread has not\n"
+        "                    begun itself (degraded mode);\n"
         "                    with --workers it is also the peer watchdog:\n"
         "                    a worker silent for MS fails the run (exit\n"
         "                    17; 15 during the handshake); 0 waits\n"
